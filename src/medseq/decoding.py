@@ -4,6 +4,11 @@ A hypothesis finishes at EOS, at 20 emitted codes, or when the decoder's
 token budget (max_tgt_len) fills up.  Ranking uses the length-normalized
 log-probability with penalty ((5+len)/6)^alpha; the reported score is the
 geometric-mean token probability, a length-insensitive value in (0,1].
+
+One engine, ``decode_batch``, does all decoding: the hypotheses of a group
+of records advance together as one batch through the KV-cached decoder
+step, and each step ranks every record's expansions with numpy.  Greedy
+decoding is beam width 1; ``beam_search`` is the engine on one record.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from .errors import ValidationError
 from .textprep import BOS_ID, EOS_ID, PAD_ID, TokenizerModel, TrainingPair, token_is_word_final
 from .textprep import decode as decode_tokens
 from .textprep import encode as encode_text
-from .transformer import TransformerModel, Tensor, decode_logits, encode_source
+from .transformer import TransformerModel, decode_step, encode_source, init_decoder_cache
 
 MAX_CODES = 20
 DEFAULT_BEAM_WIDTH = 4
 DEFAULT_ALPHA = 0.6
+DECODE_GROUP = 16  # records predict_pairs decodes as one batch
 
 
 @dataclass(frozen=True)
@@ -48,25 +54,108 @@ def prediction_score(token_logprobs: list[float]) -> float:
     return float(math.exp(sum(token_logprobs) / len(token_logprobs)))
 
 
-def _log_softmax_last(model: TransformerModel, memory_data: np.ndarray,
-                      src_bias: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """(n, vocab) float64 log-probabilities of the next token; PAD at -inf."""
-    logits = decode_logits(model, Tensor(memory_data), src_bias, ids, train=False)
-    last = logits.data[:, -1, :].astype(np.float64)
-    shifted = last - last.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp[:, PAD_ID] = -np.inf
-    return logp
+def word_final_mask(tokenizer: TokenizerModel, vocab_size: int) -> np.ndarray:
+    """Boolean array over token ids: entry i is token_is_word_final(tokenizer, i)."""
+    return np.array([token_is_word_final(tokenizer, i) for i in range(vocab_size)], dtype=bool)
 
 
-@dataclass
-class _Hyp:
-    ids: tuple[int, ...]          # decoder input, starts with BOS
-    logps: tuple[float, ...]      # per emitted token, aligned with ids[1:]
-    n_codes: int
+def decode_batch(
+    model: TransformerModel,
+    tokenizer: TokenizerModel,
+    src_ids: np.ndarray,
+    side_idx: np.ndarray,
+    beam_width: int = DEFAULT_BEAM_WIDTH,
+    alpha: float = DEFAULT_ALPHA,
+    record_ids: list[str] | None = None,
+    max_codes: int = MAX_CODES,
+) -> list[list[Prediction]]:
+    """Ranked finished hypotheses for each record of a PAD-filled batch.
 
-    def penalized(self, alpha: float) -> float:
-        return sum(self.logps) / length_penalty(len(self.logps), alpha)
+    Every live hypothesis of every record is one row of a single batch that
+    advances one token per step through the KV-cached decoder.  Each record
+    keeps the beam_width best expansions of its rows by penalized score;
+    expansions that finish leave the batch, so a record's beam shrinks as
+    its hypotheses end.  Ties break toward the lexicographically smaller
+    token sequence, so results are deterministic.  Returns up to beam_width
+    predictions per record; fewer only when the search space is exhausted.
+    """
+    if beam_width < 1:
+        raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
+    src_ids = np.asarray(src_ids)
+    n_records = src_ids.shape[0]
+    if record_ids is None:
+        record_ids = [""] * n_records
+    cfg = model.config
+    vocab = cfg.tgt_vocab_size
+    word_final = word_final_mask(tokenizer, vocab)
+    memory, src_bias = encode_source(model, src_ids, np.asarray(side_idx), train=False)
+    cache = init_decoder_cache(model, memory, src_bias)
+
+    # One entry per live row.  Rows are grouped by record, and within a
+    # record ordered by their prefix, so a row's offset in its group is the
+    # prefix's lexicographic rank among the record's live rows.  All
+    # prefixes have the same length, so the candidate order
+    # (-score, prefix + token) is (-score, rank * vocab + token).
+    record = np.arange(n_records)
+    parents = np.arange(n_records)
+    tokens = np.full(n_records, BOS_ID, dtype=np.int64)
+    ids = tokens[:, None]
+    logps = np.zeros((n_records, 0))
+    cum = np.zeros(n_records)  # sum of logps, accumulated left to right
+    n_codes = np.zeros(n_records, dtype=np.int64)
+    finished: list[list[tuple[float, tuple[int, ...], list[float]]]] = [[] for _ in range(n_records)]
+    while record.size:
+        logits = decode_step(model, cache, parents, tokens).astype(np.float64)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        logp[:, PAD_ID] = -np.inf
+        total = cum[:, None] + logp
+        live, first_row, slot_record = np.unique(record, return_index=True, return_inverse=True)
+        rank = np.arange(record.size) - first_row[slot_record]
+        grid = np.full((live.size, int(rank.max()) + 1, vocab), -np.inf)
+        grid[slot_record, rank] = total / length_penalty(ids.shape[1], alpha)
+        flat = grid.reshape(live.size, -1)
+
+        # Top beam_width per record by (-score, flat index); every candidate
+        # tied with the k-th best joins before the exact sort.
+        cut = flat.shape[1] - min(beam_width, flat.shape[1])
+        kth = np.partition(flat, cut, axis=1)[:, cut]
+        r, f = np.nonzero((flat >= kth[:, None]) & (flat > -np.inf))
+        order = np.lexsort((f, -flat[r, f], r))
+        r, f = r[order], f[order]
+        keep = np.arange(r.size) - np.searchsorted(r, r) < beam_width
+        r, f = r[keep], f[keep]
+
+        slot, tok = np.divmod(f, vocab)
+        parent = first_row[r] + slot
+        pen = flat[r, f]
+        new_ids = np.concatenate([ids[parent], tok[:, None]], axis=1)
+        new_logps = np.concatenate([logps[parent], logp[parent, tok][:, None]], axis=1)
+        new_codes = n_codes[parent] + word_final[tok]
+        done = (tok == EOS_ID) | (new_codes >= max_codes) | (new_ids.shape[1] >= cfg.max_tgt_len)
+        for j in np.flatnonzero(done):
+            finished[live[r[j]]].append((float(pen[j]), tuple(new_ids[j].tolist()), new_logps[j].tolist()))
+
+        going = np.flatnonzero(~done)
+        going = going[np.lexsort((f[going], r[going]))]
+        record = live[r[going]]
+        parents = parent[going]
+        tokens = tok[going]
+        ids = new_ids[going]
+        logps = new_logps[going]
+        cum = total[parent, tok][going]
+        n_codes = new_codes[going]
+
+    out = []
+    for rid, hyps in zip(record_ids, finished):
+        hyps.sort(key=lambda h: (-h[0], h[1]))
+        ranked = []
+        for _, hyp_ids, hyp_logps in hyps[:beam_width]:
+            text = decode_tokens(tokenizer, list(hyp_ids[1:]))
+            codes = tuple(text.split()) if text else ()
+            ranked.append(Prediction(id=rid, codes=codes, score=prediction_score(hyp_logps)))
+        out.append(ranked)
+    return out
 
 
 def beam_search(
@@ -79,60 +168,11 @@ def beam_search(
     record_id: str = "",
     max_codes: int = MAX_CODES,
 ) -> list[Prediction]:
-    """Ranked finished hypotheses for one record.
-
-    Returns up to beam_width predictions; fewer only when the search space
-    is exhausted.  Ties break toward the lexicographically smaller token
-    sequence, so results are deterministic.
-    """
-    if beam_width < 1:
-        raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
-    src_ids = np.asarray(src_ids)
-    side_idx = np.asarray(side_idx)
-    memory, src_bias = encode_source(model, src_ids[None, :], side_idx[None, :], train=False)
-    max_len = model.config.max_tgt_len
-
-    active = [_Hyp(ids=(BOS_ID,), logps=(), n_codes=0)]
-    finished: list[_Hyp] = []
-    while active:
-        n = len(active)
-        ids_batch = np.array([h.ids for h in active], dtype=np.int64)
-        mem = np.repeat(memory.data, n, axis=0)
-        bias = np.repeat(src_bias, n, axis=0)
-        logp = _log_softmax_last(model, mem, bias, ids_batch)
-
-        candidates: list[_Hyp] = []
-        for i, hyp in enumerate(active):
-            for tok in range(logp.shape[1]):
-                if tok == PAD_ID:
-                    continue
-                cand = _Hyp(
-                    ids=hyp.ids + (tok,),
-                    logps=hyp.logps + (float(logp[i, tok]),),
-                    n_codes=hyp.n_codes + (1 if token_is_word_final(tokenizer, tok) else 0),
-                )
-                candidates.append(cand)
-        candidates.sort(key=lambda h: (-h.penalized(alpha), h.ids))
-        next_active: list[_Hyp] = []
-        for cand in candidates[:beam_width]:
-            done = (
-                cand.ids[-1] == EOS_ID
-                or cand.n_codes >= max_codes
-                or len(cand.ids) >= max_len
-            )
-            if done:
-                finished.append(cand)
-            else:
-                next_active.append(cand)
-        active = next_active
-
-    finished.sort(key=lambda h: (-h.penalized(alpha), h.ids))
-    out = []
-    for hyp in finished[:beam_width]:
-        text = decode_tokens(tokenizer, list(hyp.ids[1:]))
-        codes = tuple(text.split()) if text else ()
-        out.append(Prediction(id=record_id, codes=codes, score=prediction_score(list(hyp.logps))))
-    return out
+    """Ranked finished hypotheses for one record (see decode_batch)."""
+    return decode_batch(
+        model, tokenizer, np.asarray(src_ids)[None, :], np.asarray(side_idx)[None, :],
+        beam_width=beam_width, alpha=alpha, record_ids=[record_id], max_codes=max_codes,
+    )[0]
 
 
 def greedy_decode(
@@ -143,42 +183,11 @@ def greedy_decode(
     record_ids: list[str] | None = None,
     max_codes: int = MAX_CODES,
 ) -> list[Prediction]:
-    """Batched argmax decoding; per record it equals beam_search(width=1)."""
-    src_ids = np.asarray(src_ids)
-    side_idx = np.asarray(side_idx)
-    batch = src_ids.shape[0]
-    if record_ids is None:
-        record_ids = [""] * batch
-    memory, src_bias = encode_source(model, src_ids, side_idx, train=False)
-    max_len = model.config.max_tgt_len
-
-    ids = np.full((batch, 1), BOS_ID, dtype=np.int64)
-    logp_sums = [[] for _ in range(batch)]
-    n_codes = np.zeros(batch, dtype=np.int64)
-    done = np.zeros(batch, dtype=bool)
-    while not done.all() and ids.shape[1] < max_len:
-        logp = _log_softmax_last(model, memory.data, src_bias, ids)
-        nxt = logp.argmax(axis=-1)
-        nxt[done] = PAD_ID
-        for r in range(batch):
-            if done[r]:
-                continue
-            tok = int(nxt[r])
-            logp_sums[r].append(float(logp[r, tok]))
-            if token_is_word_final(tokenizer, tok):
-                n_codes[r] += 1
-            if tok == EOS_ID or n_codes[r] >= max_codes:
-                done[r] = True
-        ids = np.concatenate([ids, nxt[:, None]], axis=1)
-        done |= ids.shape[1] >= max_len
-
-    out = []
-    for r in range(batch):
-        row = [int(t) for t in ids[r, 1:] if t != PAD_ID]
-        text = decode_tokens(tokenizer, row)
-        codes = tuple(text.split()) if text else ()
-        out.append(Prediction(id=record_ids[r], codes=codes, score=prediction_score(logp_sums[r])))
-    return out
+    """Batched argmax decoding: decode_batch at beam width 1."""
+    ranked = decode_batch(
+        model, tokenizer, src_ids, side_idx, beam_width=1, record_ids=record_ids, max_codes=max_codes,
+    )
+    return [r[0] for r in ranked]
 
 
 def predict_pairs(
@@ -189,22 +198,31 @@ def predict_pairs(
     beam_width: int = DEFAULT_BEAM_WIDTH,
     alpha: float = DEFAULT_ALPHA,
 ) -> list[Prediction]:
-    """Top beam hypothesis for each (source text, side variables) record."""
+    """Top beam hypothesis for each (source text, side variables) record.
+
+    Records are decoded DECODE_GROUP at a time, PAD-filled to the group's
+    longest source.
+    """
     cfg = model.config
     out = []
-    for pair in pairs:
-        src = np.asarray(
-            encode_text(src_tok, pair.source_text, max_len=cfg.max_src_len, record_id=pair.id),
-            dtype=np.int64,
-        )
-        side = np.asarray(pair.side.as_tuple(), dtype=np.int64)
-        ranked = beam_search(
+    for start in range(0, len(pairs), DECODE_GROUP):
+        group = pairs[start : start + DECODE_GROUP]
+        encoded = [
+            encode_text(src_tok, p.source_text, max_len=cfg.max_src_len, record_id=p.id)
+            for p in group
+        ]
+        src = np.full((len(group), max(1, *map(len, encoded))), PAD_ID, dtype=np.int64)
+        for i, ids in enumerate(encoded):
+            src[i, : len(ids)] = ids
+        side = np.array([p.side.as_tuple() for p in group], dtype=np.int64)
+        ranked = decode_batch(
             model, tgt_tok, src, side,
-            beam_width=beam_width, alpha=alpha, record_id=pair.id,
+            beam_width=beam_width, alpha=alpha, record_ids=[p.id for p in group],
         )
-        if not ranked:
-            raise ValidationError(f"record {pair.id}: beam search returned no hypothesis")
-        out.append(ranked[0])
+        for pair, hyps in zip(group, ranked):
+            if not hyps:
+                raise ValidationError(f"record {pair.id}: beam search returned no hypothesis")
+            out.append(hyps[0])
     return out
 
 

@@ -199,7 +199,12 @@ def read_manifest(path: str) -> tuple[list[str], list[str], Ensemble]:
                 paths.append(parts[1])
                 hashes.append(parts[2])
             elif parts[0] == "step" and len(parts) == 3:
-                steps.append(SelectionStep(member_index=int(parts[1]), val_f=float(parts[2])))
+                try:
+                    steps.append(SelectionStep(member_index=int(parts[1]), val_f=float(parts[2])))
+                except ValueError:
+                    raise ValidationError(
+                        f"manifest {path}: line {line_no}: bad step {parts[1]!r} or F {parts[2]!r}"
+                    ) from None
             else:
                 raise ValidationError(f"manifest {path}: bad line {line_no}")
     indices = [s.member_index for s in steps]

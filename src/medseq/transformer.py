@@ -213,6 +213,38 @@ def _causal_bias(length: int, dtype: np.dtype) -> np.ndarray:
     return upper.astype(dtype)[None, None, :, :]
 
 
+def _project(params: dict[str, Tensor], name: str, x: Tensor, cfg: ModelConfig) -> Tensor:
+    """x @ params[name], split into heads: (batch, len, h) -> (batch, heads, len, h / heads)."""
+    y = matmul(x, params[name])
+    shape = (x.shape[0], x.shape[1], cfg.n_heads, cfg.hidden_size // cfg.n_heads)
+    return transpose(reshape(y, shape), (0, 2, 1, 3))
+
+
+def _attend(
+    params: dict[str, Tensor],
+    prefix: str,
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    bias: np.ndarray | None,
+    cfg: ModelConfig,
+    train: bool,
+    source: DropoutSource | None,
+) -> Tensor:
+    """softmax(q kᵀ / sqrt(d) + bias) v over split heads, merged and projected by wo.
+
+    The core shared by the teacher-forced stacks and the cached decoder step.
+    """
+    batch, t_q = q.shape[0], q.shape[2]
+    q = mul(q, float(cfg.hidden_size // cfg.n_heads) ** -0.5)
+    scores = matmul(q, transpose(k, (0, 1, 3, 2)))
+    if bias is not None:
+        scores = add(scores, Tensor(bias))
+    weights = dropout(softmax(scores), cfg.attention_dropout, train, source)
+    ctx = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (batch, t_q, cfg.hidden_size))
+    return matmul(ctx, params[f"{prefix}.wo"])
+
+
 def _attention(
     params: dict[str, Tensor],
     prefix: str,
@@ -223,21 +255,10 @@ def _attention(
     train: bool,
     source: DropoutSource | None,
 ) -> Tensor:
-    batch, t_q = x_q.shape[0], x_q.shape[1]
-    t_k = x_kv.shape[1]
-    heads, dim = cfg.n_heads, cfg.hidden_size // cfg.n_heads
-
-    def heads_first(t: Tensor, length: int) -> Tensor:
-        return transpose(reshape(t, (batch, length, heads, dim)), (0, 2, 1, 3))
-
-    q = heads_first(matmul(x_q, params[f"{prefix}.wq"]), t_q)
-    k = heads_first(matmul(x_kv, params[f"{prefix}.wk"]), t_k)
-    v = heads_first(matmul(x_kv, params[f"{prefix}.wv"]), t_k)
-    q = mul(q, float(dim) ** -0.5)
-    scores = add(matmul(q, transpose(k, (0, 1, 3, 2))), Tensor(bias))
-    weights = dropout(softmax(scores), cfg.attention_dropout, train, source)
-    ctx = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (batch, t_q, cfg.hidden_size))
-    return matmul(ctx, params[f"{prefix}.wo"])
+    q = _project(params, f"{prefix}.wq", x_q, cfg)
+    k = _project(params, f"{prefix}.wk", x_kv, cfg)
+    v = _project(params, f"{prefix}.wv", x_kv, cfg)
+    return _attend(params, prefix, q, k, v, bias, cfg, train, source)
 
 
 def _ffn(
@@ -309,6 +330,19 @@ def encode_source(
     return _normed(params, "enc.final_norm", x), src_bias
 
 
+def _embed_target(model: TransformerModel, ids: np.ndarray, offset: int) -> Tensor:
+    """Target embedding * sqrt(h) plus the positions offset..offset+len."""
+    cfg = model.config
+    x = mul(embedding_lookup(model.parameters["tgt_embed"], ids), float(cfg.hidden_size) ** 0.5)
+    return add(x, Tensor(model.pos_tgt[offset : offset + ids.shape[1]]))
+
+
+def _output_logits(params: dict[str, Tensor], x: Tensor) -> Tensor:
+    """Final norm, then the transposed target embedding as output projection."""
+    x = _normed(params, "dec.final_norm", x)
+    return matmul(x, transpose(params["tgt_embed"], (1, 0)))
+
+
 def decode_logits(
     model: TransformerModel,
     memory: Tensor,
@@ -317,7 +351,10 @@ def decode_logits(
     train: bool = False,
     source: DropoutSource | None = None,
 ) -> Tensor:
-    """Decoder stack over a (batch, len) target prefix; returns logits."""
+    """Decoder stack over a (batch, len) target prefix; returns logits.
+
+    This is the teacher-forced path; decoding advances with ``decode_step``.
+    """
     cfg = model.config
     params = model.parameters
     tgt_in_ids = np.asarray(tgt_in_ids)
@@ -326,8 +363,7 @@ def decode_logits(
     batch, t = tgt_in_ids.shape
     if t > cfg.max_tgt_len:
         raise ValidationError(f"target length {t} exceeds max {cfg.max_tgt_len}")
-    x = mul(embedding_lookup(params["tgt_embed"], tgt_in_ids), float(cfg.hidden_size) ** 0.5)
-    x = add(x, Tensor(model.pos_tgt[:t]))
+    x = _embed_target(model, tgt_in_ids, 0)
     x = dropout(x, cfg.layer_postprocess_dropout, train, source)
     self_bias = _causal_bias(t, cfg.np_dtype) + _pad_bias(tgt_in_ids, cfg.np_dtype)
     for i in range(cfg.n_layers_dec):
@@ -339,8 +375,86 @@ def decode_logits(
         x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
         y = _ffn(params, f"dec{i}.ffn", _normed(params, f"dec{i}.ffn_norm", x), cfg, train, source)
         x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
-    x = _normed(params, "dec.final_norm", x)
-    return matmul(x, transpose(params["tgt_embed"], (1, 0)))
+    return _output_logits(params, x)
+
+
+@dataclass
+class DecoderCache:
+    """Incremental decoding state of a batch of hypothesis rows.
+
+    ``cross`` holds each decoder layer's cross-attention (K, V), projected
+    once per record; ``self_kv`` holds each layer's self-attention (K, V)
+    over every row's prefix, shaped (rows, heads, prefix length, head dim);
+    ``record`` maps each row to its record.
+    """
+
+    cross: list[tuple[np.ndarray, np.ndarray]]
+    src_bias: np.ndarray
+    self_kv: list[tuple[np.ndarray, np.ndarray]]
+    record: np.ndarray
+
+
+def init_decoder_cache(model: TransformerModel, memory: Tensor, src_bias: np.ndarray) -> DecoderCache:
+    """Empty prefixes, one row per record of the encoded batch."""
+    cfg = model.config
+    params = model.parameters
+    batch = memory.shape[0]
+    cross = [
+        tuple(_project(params, f"dec{i}.cross_attn.{w}", memory, cfg).data for w in ("wk", "wv"))
+        for i in range(cfg.n_layers_dec)
+    ]
+    empty = np.zeros((batch, cfg.n_heads, 0, cfg.hidden_size // cfg.n_heads), dtype=cfg.np_dtype)
+    return DecoderCache(
+        cross=cross,
+        src_bias=src_bias,
+        self_kv=[(empty, empty)] * cfg.n_layers_dec,
+        record=np.arange(batch),
+    )
+
+
+def decode_step(
+    model: TransformerModel,
+    cache: DecoderCache,
+    parents: np.ndarray,
+    tokens: np.ndarray,
+) -> np.ndarray:
+    """Logits (rows, vocab) for the position after each row's new token.
+
+    Row i extends the prefix of row ``parents[i]`` of the previous step with
+    ``tokens[i]``; at the first step the rows are the records.  The cache is
+    reindexed by ``parents`` and extended in place, so a step costs O(prefix)
+    instead of re-running the whole prefix.  Inference only: no dropout.
+    """
+    cfg = model.config
+    params = model.parameters
+    parents = np.asarray(parents)
+    tokens = np.asarray(tokens)
+    t = cache.self_kv[0][0].shape[2]
+    if t >= cfg.max_tgt_len:
+        raise ValidationError(f"target length {t + 1} exceeds max {cfg.max_tgt_len}")
+    record = cache.record[parents]
+    src_bias = cache.src_bias[record]
+    x = _embed_target(model, tokens[:, None], t)
+    for i in range(cfg.n_layers_dec):
+        y = _normed(params, f"dec{i}.self_norm", x)
+        q = _project(params, f"dec{i}.self_attn.wq", y, cfg)
+        k_prev, v_prev = cache.self_kv[i]
+        k = np.concatenate([k_prev[parents], _project(params, f"dec{i}.self_attn.wk", y, cfg).data], axis=2)
+        v = np.concatenate([v_prev[parents], _project(params, f"dec{i}.self_attn.wv", y, cfg).data], axis=2)
+        cache.self_kv[i] = (k, v)
+        x = add(x, _attend(params, f"dec{i}.self_attn", q, Tensor(k), Tensor(v), None, cfg, False, None))
+        y = _normed(params, f"dec{i}.cross_norm", x)
+        q = _project(params, f"dec{i}.cross_attn.wq", y, cfg)
+        k_mem, v_mem = cache.cross[i]
+        y = _attend(
+            params, f"dec{i}.cross_attn", q, Tensor(k_mem[record]), Tensor(v_mem[record]),
+            src_bias, cfg, False, None,
+        )
+        x = add(x, y)
+        y = _ffn(params, f"dec{i}.ffn", _normed(params, f"dec{i}.ffn_norm", x), cfg, False, None)
+        x = add(x, y)
+    cache.record = record
+    return _output_logits(params, x).data[:, 0, :]
 
 
 def forward(

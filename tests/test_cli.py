@@ -240,6 +240,34 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    def test_bad_manifest_step_exits_two(self, pipeline, tmp_path, capsys):
+        manifest = tmp_path / "ensemble.manifest"
+        manifest.write_text(f"member\t{pipeline['ckpt']}\t{'0' * 64}\nstep\tone\t0.500000\n")
+        capsys.readouterr()
+        code = main([
+            "ensemble-predict", "--manifest", str(manifest), "--corpus", pipeline["test_tsv"],
+            "--src-tok", pipeline["src_tok"], "--tgt-tok", pipeline["tgt_tok"],
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "line 2" in err[0]
+
+    def test_truncated_tokenizer_exits_two(self, pipeline, tmp_path, capsys):
+        text = open(pipeline["src_tok"], encoding="utf-8").read()
+        cut = tmp_path / "src.tok"
+        cut.write_text(text[: len(text) // 2], encoding="utf-8")
+        common = ["--src-tok", str(cut), "--tgt-tok", pipeline["tgt_tok"]]
+        runs = [
+            ["predict", "--checkpoint", pipeline["ckpt"], "--corpus", pipeline["test_tsv"]],
+            ["train", "--train", pipeline["test_tsv"], "--val", pipeline["test_tsv"]],
+        ]
+        for args in runs:
+            capsys.readouterr()
+            assert main(args + common + ["--out-dir", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and str(cut) in err[0]
+
     def test_missing_file_exits_three(self, tmp_path):
         assert main([
             "split", "--corpus", str(tmp_path / "absent.tsv"), "--out-dir", str(tmp_path),

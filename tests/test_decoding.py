@@ -6,12 +6,14 @@ all finished sequences produces, using the same finish rules and the same
 length-normalized objective.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from medseq.decoding import (
+    DECODE_GROUP,
     MAX_CODES,
     Prediction,
     beam_search,
@@ -20,11 +22,23 @@ from medseq.decoding import (
     predict_pairs,
     prediction_score,
     read_predictions,
+    word_final_mask,
     write_predictions,
 )
 from medseq.errors import ValidationError
 from medseq.tensor import Tensor
-from medseq.textprep import BOS_ID, EOS_ID, PAD_ID, bpe_train, token_is_word_final
+from medseq.textprep import (
+    BOS_ID,
+    EOS_ID,
+    PAD_ID,
+    RESERVED_TOKENS,
+    UNK_ID,
+    TokenizerModel,
+    bpe_train,
+    encode,
+    token_is_word_final,
+)
+from medseq.textprep import decode as decode_tokens
 from medseq.train import encode_pairs, pad_batch
 from medseq.transformer import ModelConfig, decode_logits, encode_source, init_model
 
@@ -113,6 +127,38 @@ class TestBeamBasics:
         assert [p.id for p in preds] == [pair.id for pair in subset]
 
 
+def _float64_copy(model):
+    cfg = dataclasses.replace(model.config, dtype="float64")
+    copy = init_model(cfg, seed=0)
+    for name, p in model.parameters.items():
+        copy.parameters[name] = Tensor(p.data.astype(np.float64))
+    return copy
+
+
+class TestBatchedDecoding:
+    def test_padded_groups_match_single_records(self, toy_data, toy_model):
+        _, all_pairs, src_tok, tgt_tok = toy_data
+        model = _float64_copy(toy_model[0])
+        pairs = all_pairs[: DECODE_GROUP + 4]
+        assert len({len(encode(src_tok, p.source_text)) for p in pairs[:DECODE_GROUP]}) > 3
+        preds = predict_pairs(model, src_tok, tgt_tok, pairs, beam_width=3)
+        assert [p.id for p in preds] == [pair.id for pair in pairs]
+        for pair, got in zip(pairs, preds):
+            src = np.array(encode(src_tok, pair.source_text))
+            side = np.array(pair.side.as_tuple())
+            want = beam_search(model, tgt_tok, src, side, beam_width=3, record_id=pair.id)[0]
+            assert got.codes == want.codes, pair.id
+            np.testing.assert_allclose(got.score, want.score, rtol=1e-9, err_msg=pair.id)
+
+    def test_word_final_mask_matches_tokenizer(self, toy_data):
+        tgt_tok = toy_data[3]
+        size = tgt_tok.size + 2  # ids past the vocabulary are not word-final
+        mask = word_final_mask(tgt_tok, size)
+        assert mask.tolist() == [token_is_word_final(tgt_tok, i) for i in range(size)]
+        assert not mask[[PAD_ID, BOS_ID, EOS_ID, UNK_ID]].any()
+        assert mask.any()
+
+
 def _all_finished(model, tokenizer, src, side, alpha, max_codes):
     """Enumerate every finished sequence with the same stop rules the beam
     uses, scoring each step from a fresh forward pass over the prefix."""
@@ -149,6 +195,46 @@ def _all_finished(model, tokenizer, src, side, alpha, max_codes):
     return finished
 
 
+def _reference_beam(model, tokenizer, src, side, beam_width, alpha, max_codes):
+    """The per-candidate loop the batched engine replaced: every step scores
+    the full prefixes with decode_logits and sorts all expansions by
+    (-penalized score, token ids)."""
+    memory, src_bias = encode_source(model, src[None, :], side[None, :])
+    max_len = model.config.max_tgt_len
+
+    def penalized(logps):
+        return sum(logps) / length_penalty(len(logps), alpha)
+
+    active = [((BOS_ID,), (), 0)]
+    finished = []
+    while active:
+        n = len(active)
+        logits = decode_logits(
+            model, Tensor(np.repeat(memory.data, n, axis=0)), np.repeat(src_bias, n, axis=0),
+            np.array([ids for ids, _, _ in active]),
+        ).data[:, -1, :].astype(np.float64)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        candidates = [
+            (ids + (tok,), logps + (float(logp[i, tok]),),
+             codes + int(token_is_word_final(tokenizer, tok)))
+            for i, (ids, logps, codes) in enumerate(active)
+            for tok in range(logp.shape[1])
+            if tok != PAD_ID
+        ]
+        candidates.sort(key=lambda c: (-penalized(c[1]), c[0]))
+        active = []
+        for cand in candidates[:beam_width]:
+            done = cand[0][-1] == EOS_ID or cand[2] >= max_codes or len(cand[0]) >= max_len
+            (finished if done else active).append(cand)
+    finished.sort(key=lambda c: (-penalized(c[1]), c[0]))
+    out = []
+    for ids, logps, _ in finished[:beam_width]:
+        text = decode_tokens(tokenizer, list(ids[1:]))
+        out.append(Prediction(id="", codes=tuple(text.split()), score=prediction_score(list(logps))))
+    return out
+
+
 class TestBeamEqualsExhaustiveSearch:
     def test_wide_beam_reproduces_full_enumeration(self):
         tok = bpe_train(["a"], 7)
@@ -182,6 +268,31 @@ class TestBeamEqualsExhaustiveSearch:
 
             expected = decode_tokens(tok, list(top_ids[1:]))
             assert ranked[0].codes == (tuple(expected.split()) if expected else ())
+
+    def test_matches_reference_loop_with_exact_ties(self):
+        """Tokens 4 and 5 share an embedding row, so sequences that swap them
+        tie exactly; at every width, including widths that cut between tied
+        candidates, the engine ranks as the per-candidate reference loop."""
+        reserved = {t: i for i, t in enumerate(RESERVED_TOKENS)}
+        tok = TokenizerModel(merges=(), vocab=dict(reserved, **{"a</w>": 4, "b</w>": 5, "c": 6}))
+        cfg = ModelConfig(
+            src_vocab_size=6, tgt_vocab_size=tok.size, hidden_size=8,
+            n_layers_enc=1, n_layers_dec=1, n_heads=2, ffn_size=16,
+            layer_postprocess_dropout=0.0, attention_dropout=0.0, relu_dropout=0.0,
+            max_src_len=8, max_tgt_len=5, side_cardinalities=(3, 2), dtype="float64",
+        )
+        for seed in range(4):
+            model = init_model(cfg, seed=seed)
+            embed = model.parameters["tgt_embed"].data
+            embed[5] = embed[4]
+            src, side = np.array([4, 5, 4]), np.array([seed % 3, 1])
+            for width in (1, 2, 3, 5, 8):
+                want = _reference_beam(model, tok, src, side, width, 0.6, max_codes=2)
+                got = beam_search(model, tok, src, side, beam_width=width, alpha=0.6, max_codes=2)
+                assert [p.codes for p in got] == [p.codes for p in want], (seed, width)
+                np.testing.assert_allclose(
+                    [p.score for p in got], [p.score for p in want], rtol=1e-12
+                )
 
 
 class TestPredictionFiles:

@@ -258,3 +258,10 @@ class TestManifest:
         path.write_text("member\ta.bin\tf00\nmember\tb.bin\tf11\nstep\t0\t0.500000\n")
         with pytest.raises(ValidationError):
             read_manifest(str(path))
+
+    @pytest.mark.parametrize("step", ["step\tone\t0.500000", "step\t1.5\t0.500000", "step\t0\thigh"])
+    def test_bad_step_fields_rejected(self, tmp_path, step):
+        path = tmp_path / "ensemble.txt"
+        path.write_text(f"member\ta.bin\tf00\n{step}\n")
+        with pytest.raises(ValidationError, match=r"ensemble.txt: line 2"):
+            read_manifest(str(path))

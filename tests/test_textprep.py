@@ -212,3 +212,45 @@ class TestSerialization:
         a = bpe_train(["abc abc"], 16)
         b = bpe_train(["abd abd"], 16)
         assert tokenizer_fingerprint(a) != tokenizer_fingerprint(b)
+
+
+class TestTruncatedTokenizerFile:
+    """Any cut of a tokenizer file, except dropping only its final newline,
+    must raise ValidationError rather than IndexError or a smaller model."""
+
+    TEXT = tokenizer_dumps(bpe_train(["hta, avc insuffisance", "avc aigu", "café crème"], 48))
+
+    def test_every_line_boundary_rejected(self):
+        lines = self.TEXT.splitlines(keepends=True)
+        assert len(lines) > 20
+        for n in range(len(lines)):
+            with pytest.raises(ValidationError):
+                tokenizer_loads("".join(lines[:n]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut_at=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_random_byte_cut_rejected(self, cut_at):
+        raw = self.TEXT.encode("utf-8")
+        cut = int(cut_at * (len(raw) - 1))  # len(raw) - 1 would drop only the newline
+        with pytest.raises(ValidationError):
+            tokenizer_loads(raw[:cut].decode("utf-8", errors="ignore"))
+
+    def test_dropping_final_newline_still_loads(self):
+        assert tokenizer_dumps(tokenizer_loads(self.TEXT[:-1])) == self.TEXT
+
+    @pytest.mark.parametrize("old, new", [
+        ("vocab_size ", "vocab_size x"),
+        ("exhausted ", "exhausted 2"),
+        ("\t4\n", "\t4\textra\n"),
+        ("\t4\n", "\t5\n"),
+    ])
+    def test_malformed_field_rejected(self, old, new):
+        assert old in self.TEXT
+        with pytest.raises(ValidationError):
+            tokenizer_loads(self.TEXT.replace(old, new, 1))
+
+    def test_file_error_names_path(self, tmp_path):
+        path = tmp_path / "cut.tok"
+        path.write_text(self.TEXT[: len(self.TEXT) // 2])
+        with pytest.raises(ValidationError, match="cut.tok"):
+            load_tokenizer(path)

@@ -12,15 +12,17 @@ import numpy as np
 import pytest
 
 from medseq.errors import ConfigError, ValidationError
-from medseq.tensor import cross_entropy, finite_diff_check, reshape
+from medseq.tensor import Tensor, cross_entropy, finite_diff_check, reshape
 from medseq.textprep import BOS_ID, EOS_ID, PAD_ID
 from medseq.train import OptimizerState, adam_step, learning_rate, loss_and_grads
 from medseq.transformer import (
     ModelConfig,
     decode_logits,
+    decode_step,
     embed_source,
     encode_source,
     forward,
+    init_decoder_cache,
     init_model,
     param_count,
     sequence_loss,
@@ -264,6 +266,43 @@ class TestCausality:
         a = decode_logits(model, memory, src_bias, tgt_in).data
         b = decode_logits(model, memory, src_bias, other).data
         assert not np.array_equal(a[:, 2:], b[:, 2:])
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+class TestCachedDecoderStep:
+    def test_step_matches_teacher_forced_last_row(self):
+        """Every step's log-probs equal decode_logits' last row over the full
+        prefix, for rows reordered, duplicated and dropped between steps."""
+        cfg = tiny_cfg(n_layers_dec=2, max_tgt_len=7)
+        model = init_model(cfg, seed=11)
+        rng = np.random.default_rng(11)
+        src, side, _ = rand_batch(cfg, rng, batch=3, src_len=6)
+        src[0, 2:] = PAD_ID  # three source lengths in one padded batch
+        src[1, 4:] = PAD_ID
+        memory, src_bias = encode_source(model, src, side)
+        cache = init_decoder_cache(model, memory, src_bias)
+        record = np.arange(3)
+        prefixes = np.full((3, 1), BOS_ID)
+        parents = np.arange(3)
+        for step in range(cfg.max_tgt_len):
+            logp = _log_softmax(decode_step(model, cache, parents, prefixes[:, -1]))
+            expected = decode_logits(
+                model, Tensor(memory.data[record]), src_bias[record], prefixes
+            ).data[:, -1, :]
+            np.testing.assert_allclose(logp, _log_softmax(expected), rtol=0, atol=1e-12,
+                                       err_msg=f"step {step}")
+            if step + 1 == cfg.max_tgt_len:
+                break
+            parents = rng.integers(0, len(record), size=int(rng.integers(2, 6)))
+            record = record[parents]
+            tokens = rng.integers(1, cfg.tgt_vocab_size, size=parents.size)
+            prefixes = np.concatenate([prefixes[parents], tokens[:, None]], axis=1)
+        with pytest.raises(ValidationError):
+            decode_step(model, cache, np.arange(len(record)), prefixes[:, -1])
 
 
 class TestSideConditioning:
