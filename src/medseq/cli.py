@@ -126,7 +126,6 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
         seed=cfg.get_int("train.seed"),
         eval_every=cfg.get_int("train.eval_every"),
         early_stop_patience=cfg.get_int("train.early_stop_patience"),
-        workers=cfg.get_int("train.workers"),
         log_every=cfg.get_int("train.log_every"),
         val_limit=val_limit if val_limit > 0 else None,
     )
@@ -225,8 +224,6 @@ def _cmd_tokenize(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    if args.workers is not None:
-        cfg.set_typed("train.workers", args.workers)
     if args.max_steps is not None:
         cfg.set_typed("train.max_steps", args.max_steps)
     if args.seed is not None:
@@ -531,7 +528,6 @@ def build_parser() -> _Parser:
     p.add_argument("--val", required=True)
     p.add_argument("--src-tok", required=True)
     p.add_argument("--tgt-tok", required=True)
-    p.add_argument("--workers", type=int)
     p.add_argument("--max-steps", type=int)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_train)

@@ -46,7 +46,6 @@ _KEYS: dict[str, tuple[type, object]] = {
     "train.seed": (int, 0),
     "train.eval_every": (int, 200),
     "train.early_stop_patience": (int, 0),
-    "train.workers": (int, 1),
     "train.log_every": (int, 50),
     "train.val_limit": (int, 0),        # 0 -> use the whole validation set
     "search.n_trials": (int, 3),

@@ -72,12 +72,15 @@ class Tape:
             raise ValidationError(f"loss must be scalar, got shape {loss.data.shape}")
         if not any(node is loss for node in self._nodes):
             raise ValidationError("loss was not computed under this tape")
+        wanted = {id(p) for p in params.values()}
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         for node in reversed(self._nodes):
             out_grad = grads.pop(id(node), None)
             if out_grad is None:
                 continue
             for parent, back in zip(node._parents, node._backs):
+                if not parent._parents and id(parent) not in wanted:
+                    continue  # a constant: nothing upstream needs its gradient
                 contrib = back(out_grad)
                 key = id(parent)
                 if key in grads:
@@ -100,8 +103,8 @@ def _record(data: np.ndarray, parents: tuple[Tensor, ...], backs: tuple[_BackFn,
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to the shape numpy broadcast it up from."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+    if grad.ndim > len(shape):
+        grad = grad.sum(axis=tuple(range(grad.ndim - len(shape))))
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -149,11 +152,23 @@ def mul(a: Tensor, b: Tensor | float | np.ndarray) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b.  A 2-d right operand (a weight) is applied to the leading axes of
+    ``a`` flattened into rows, so each direction is a single GEMM."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs 2-d or batched operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    if b.data.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+
+        def back_rows(g: np.ndarray) -> np.ndarray:
+            return (g.reshape(a2.shape[0], -1) @ b.data.T).reshape(a.shape)
+
+        def back_weight(g: np.ndarray) -> np.ndarray:
+            return a2.T @ g.reshape(a2.shape[0], -1)
+
+        return _record(data, (a, b), (back_rows, back_weight))
 
     def back_a(g: np.ndarray) -> np.ndarray:
         return _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
@@ -161,25 +176,58 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def back_b(g: np.ndarray) -> np.ndarray:
         return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
 
-    return _record(data, (a, b), (back_a, back_b))
+    return _record(a.data @ b.data, (a, b), (back_a, back_b))
 
 
 def relu(x: Tensor) -> Tensor:
     keep = x.data > 0
-    return _record(np.where(keep, x.data, 0.0).astype(x.dtype), (x,), (lambda g: g * keep,))
+    return _record(np.maximum(x.data, 0), (x,), (lambda g: g * keep,))
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    bias: np.ndarray | None,
+    scale: float,
+    keep: np.ndarray | None = None,
+) -> Tensor:
+    """softmax((q * scale) kᵀ + bias) v as one tape node.
 
-    def back(g: np.ndarray) -> np.ndarray:
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return s * (g - dot)
+    ``q`` is (..., t_q, d), ``k`` and ``v`` are (..., t_k, d); ``bias`` is a
+    constant broadcast onto the (..., t_q, t_k) scores and ``keep`` an
+    optional multiplicative mask on the attention weights (dropout, inverted
+    scaling baked in).
+    """
+    qs = q.data * q.data.dtype.type(scale)
+    scores = qs @ np.swapaxes(k.data, -1, -2)
+    if bias is not None:
+        scores += bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    w = e / e.sum(axis=-1, keepdims=True)
+    wk = w if keep is None else w * keep
+    memo: dict[str, np.ndarray] = {}
 
-    return _record(s, (x,), (back,))
+    def d_scores(g: np.ndarray) -> np.ndarray:
+        if memo.get("g") is not g:
+            dw = g @ np.swapaxes(v.data, -1, -2)
+            if keep is not None:
+                dw *= keep
+            dw -= (dw * w).sum(axis=-1, keepdims=True)
+            dw *= w
+            memo.update(g=g, ds=dw)
+        return memo["ds"]
+
+    return _record(
+        wk @ v.data,
+        (q, k, v),
+        (
+            lambda g: (d_scores(g) @ k.data) * q.data.dtype.type(scale),
+            lambda g: np.swapaxes(d_scores(g), -1, -2) @ qs,
+            lambda g: np.swapaxes(wk, -1, -2) @ g,
+        ),
+    )
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -188,10 +236,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} must match last axis of {x.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
+    d = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)
+    y = d * inv
     out = gain.data * y + bias.data
     lead = tuple(range(x.data.ndim - 1))
 
@@ -202,7 +249,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         return inv * (dy - m1 - y * m2)
 
     return _record(
-        out.astype(x.dtype),
+        out.astype(x.dtype, copy=False),
         (x, gain, bias),
         (back_x, lambda g: (g * y).sum(axis=lead), lambda g: g.sum(axis=lead)),
     )
@@ -226,29 +273,40 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 class DropoutSource:
     """Supplies multiplicative dropout masks (inverted scaling baked in)."""
 
-    def mask(self, shape: tuple[int, ...], p: float) -> np.ndarray:
+    def mask(self, shape: tuple[int, ...], p: float, dtype: np.dtype) -> np.ndarray:
         raise NotImplementedError
 
 
 class GeneratorDropout(DropoutSource):
-    """Masks drawn straight from a numpy generator (or a seed for one)."""
+    """Dropout masks drawn from one numpy generator (or a seed for one)."""
 
-    def __init__(self, rng: np.random.Generator | int) -> None:
+    def __init__(self, rng: np.random.Generator | int | Sequence[int]) -> None:
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
-    def mask(self, shape: tuple[int, ...], p: float) -> np.ndarray:
-        keep = self._rng.random(shape) >= p
-        return keep.astype(np.float64) / (1.0 - p)
+    def mask(self, shape: tuple[int, ...], p: float, dtype: np.dtype) -> np.ndarray:
+        """Multiplicative keep mask in ``dtype``, inverted scaling baked in;
+        the uniform draws are float32."""
+        keep = self._rng.random(shape, dtype=np.float32) >= p
+        return np.multiply(keep, 1.0 / (1.0 - p), dtype=dtype)
 
 
-def dropout(x: Tensor, p: float, train: bool, source: DropoutSource | None = None) -> Tensor:
+def keep_mask(
+    shape: tuple[int, ...], p: float, train: bool, source: DropoutSource | None, dtype: np.dtype
+) -> np.ndarray | None:
+    """The multiplicative mask of dropout at rate ``p``; None when it is off."""
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"dropout rate must be in [0, 1), got {p}")
     if not train or p == 0.0:
-        return x
+        return None
     if source is None:
         raise ValidationError("training-mode dropout needs a mask source")
-    m = source.mask(x.shape, p).astype(x.dtype)
+    return source.mask(shape, p, dtype)
+
+
+def dropout(x: Tensor, p: float, train: bool, source: DropoutSource | None = None) -> Tensor:
+    m = keep_mask(x.shape, p, train, source, x.dtype)
+    if m is None:
+        return x
     return _record(x.data * m, (x,), (lambda g: g * m,))
 
 
@@ -262,7 +320,8 @@ def cross_entropy(
 
     ``logits`` is (n, vocab); ``targets`` is (n,) int ids.  With smoothing
     eps the target distribution puts 1-eps on the gold id and eps/(vocab-1)
-    on every other id.
+    on every other id.  The work stays in the logits' dtype over the kept
+    rows only; the per-row sums and the loss are float64.
     """
     targets = np.asarray(targets)
     if logits.data.ndim != 2 or targets.shape != logits.shape[:1]:
@@ -270,30 +329,35 @@ def cross_entropy(
     if not 0.0 <= label_smoothing < 1.0:
         raise ValidationError(f"label smoothing must be in [0, 1), got {label_smoothing}")
     n, vocab = logits.shape
-    keep = np.ones(n, dtype=bool) if ignore_id is None else targets != ignore_id
-    count = int(keep.sum())
+    kept = np.arange(n) if ignore_id is None else np.flatnonzero(targets != ignore_id)
+    count = kept.size
     if count == 0:
         raise ValidationError("cross_entropy: every position is ignored")
+    x = logits.data if count == n else logits.data[kept]
+    gold = targets[kept]
+    rows = np.arange(count)
 
-    x = logits.data.astype(np.float64)
-    m = x.max(axis=-1, keepdims=True)
-    shifted = x - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - lse
-
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    sum_e = e.sum(axis=-1, dtype=np.float64)
+    lse = np.log(sum_e)
     on = 1.0 - label_smoothing
     off = label_smoothing / (vocab - 1) if vocab > 1 else 0.0
-    rows = np.arange(n)
-    gold_lp = log_probs[rows, targets]
-    per_row = -(on * gold_lp + off * (log_probs.sum(axis=-1) - gold_lp))
-    loss = (per_row * keep).sum() / count
+    gold_lp = shifted[rows, gold] - lse
+    all_lp = shifted.sum(axis=-1, dtype=np.float64) - vocab * lse
+    per_row = -(on * gold_lp + off * (all_lp - gold_lp))
+    loss = per_row.sum() / count
 
     def back(g: np.ndarray) -> np.ndarray:
-        probs = np.exp(log_probs)
-        target_dist = np.full_like(probs, off)
-        target_dist[rows, targets] = on
-        grad = (probs - target_dist) * (keep[:, None] / count)
-        return (grad * g).astype(logits.dtype)
+        scale = float(g) / count
+        grad = e * (scale / sum_e).astype(x.dtype)[:, None]
+        grad -= off * scale
+        grad[rows, gold] -= (on - off) * scale
+        if count == n:
+            return grad
+        full = np.zeros_like(logits.data)
+        full[kept] = grad
+        return full
 
     return _record(np.asarray(loss), (logits,), (back,))
 

@@ -2,10 +2,11 @@
 and random hyperparameter search.
 
 The batch size is derived from the hidden size (floor(100*512/hidden))
-unless overridden.  Batches may be sharded across workers; per-shard
-gradients are token-weighted and averaged before a single optimizer step,
-and dropout masks are drawn for the whole batch then row-sliced so the
-sharded run reproduces the unsharded one.
+unless overridden.  Each step computes the loss and gradients of the whole
+batch on one tape.  Dropout masks come from one generator keyed by
+(seed, step), so a run is reproducible from its seed.  Training stops with
+a DivergenceError, naming the step and the worst parameter group, as soon
+as the loss or any gradient is non-finite.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .decoding import greedy_decode
 from .errors import ConfigError, DivergenceError, ShapeError, ValidationError
 from .metrics import micro_metrics
-from .tensor import DropoutSource, Tape, Tensor
+from .tensor import GeneratorDropout, Tape, Tensor
 from .textprep import (
     BOS_ID,
     EOS_ID,
@@ -72,7 +73,6 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 200            # 0 disables validation decoding
     early_stop_patience: int = 0     # evaluations without improvement; 0 = off
-    workers: int = 1
     log_every: int = 50
     val_limit: int | None = None     # cap validation records per evaluation
 
@@ -83,8 +83,6 @@ class TrainConfig:
             raise ConfigError("warmup_steps, max_steps and log_every must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.eval_every < 0 or self.early_stop_patience < 0:
             raise ConfigError("eval_every and early_stop_patience must be >= 0")
         if self.val_limit is not None and self.val_limit < 1:
@@ -131,32 +129,6 @@ def adam_step(
         v *= beta2
         v += (1.0 - beta2) * (g * g)
         p.data -= rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-
-class BatchSlicedDropout(DropoutSource):
-    """Draws each mask for the full batch, then hands back one row slice.
-
-    The stream is keyed by (seed, step, call index), so every shard of the
-    same step sees slices of identical full-batch masks and a sharded run
-    matches the unsharded one row for row.
-    """
-
-    def __init__(self, seed: int, step: int, total_rows: int, row_offset: int, rows: int) -> None:
-        self._seed = seed
-        self._step = step
-        self._total = total_rows
-        self._offset = row_offset
-        self._rows = rows
-        self._calls = 0
-
-    def mask(self, shape: tuple[int, ...], p: float) -> np.ndarray:
-        if shape[0] != self._rows:
-            raise ValidationError(f"dropout mask rows {shape[0]} != shard rows {self._rows}")
-        rng = np.random.default_rng((self._seed, self._step, self._calls))
-        self._calls += 1
-        keep = rng.random((self._total,) + shape[1:]) >= p
-        full = keep.astype(np.float64) / (1.0 - p)
-        return full[self._offset : self._offset + self._rows]
 
 
 @dataclass(frozen=True)
@@ -207,61 +179,49 @@ def pad_batch(pairs: list[EncodedPair]) -> tuple[np.ndarray, np.ndarray, np.ndar
     return src, side, tgt
 
 
-def _shard_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    base, rem = divmod(total, workers)
-    bounds = []
-    offset = 0
-    for i in range(workers):
-        rows = base + (1 if i < rem else 0)
-        bounds.append((offset, rows))
-        offset += rows
-    return bounds
-
-
 def loss_and_grads(
     model: TransformerModel,
     src: np.ndarray,
     side: np.ndarray,
     tgt: np.ndarray,
-    workers: int = 1,
     seed: int = 0,
     step: int = 1,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Teacher-forced loss and gradients, optionally sharded across workers.
-
-    Shard results are combined with non-PAD-token weights, which makes the
-    combination equal the full-batch computation up to float summation
-    order.
-    """
-    cfg = model.config
-    total_rows = src.shape[0]
-    total_tokens = int((tgt[:, 1:] != PAD_ID).sum())
-    if total_tokens == 0:
+    """Teacher-forced loss and gradients of one batch; dropout masks are
+    drawn from a generator keyed by (seed, step)."""
+    if not (tgt[:, 1:] != PAD_ID).any():
         raise ValidationError("batch contains no target tokens")
-    use_dropout = max(cfg.layer_postprocess_dropout, cfg.attention_dropout, cfg.relu_dropout) > 0
-    agg: dict[str, np.ndarray] = {}
-    total_loss = 0.0
-    for offset, rows in _shard_bounds(total_rows, workers):
-        if rows == 0:
-            continue
-        sl = slice(offset, offset + rows)
-        shard_tokens = int((tgt[sl, 1:] != PAD_ID).sum())
-        if shard_tokens == 0:
-            continue
-        source = (
-            BatchSlicedDropout(seed, step, total_rows, offset, rows) if use_dropout else None
-        )
-        with Tape() as tape:
-            loss = sequence_loss(model, src[sl], side[sl], tgt[sl], train=True, source=source)
-            grads = tape.gradients(loss, model.parameters)
-        weight = shard_tokens / total_tokens
-        total_loss += float(loss.data) * weight
-        for name, g in grads.items():
-            if name in agg:
-                agg[name] += g * weight
-            else:
-                agg[name] = g * weight
-    return total_loss, agg
+    source = GeneratorDropout((seed, step))
+    with Tape() as tape:
+        loss = sequence_loss(model, src, side, tgt, train=True, source=source)
+        grads = tape.gradients(loss, model.parameters)
+    return float(loss.data), grads
+
+
+def check_finite(step: int, loss: float, grads: dict[str, np.ndarray]) -> None:
+    """Raise DivergenceError if the loss or any gradient is non-finite.
+
+    The message names the step and the worst parameter group: the one with
+    the most non-finite gradient entries, a group being a parameter name
+    without its last dotted part (``dec0.ffn.w1`` -> ``dec0.ffn``).
+    """
+    bad: dict[str, list[int]] = {}
+    for name, g in grads.items():
+        n_bad = g.size - int(np.isfinite(g).sum())
+        if n_bad:
+            group = bad.setdefault(name.rpartition(".")[0] or name, [0, 0])
+            group[0] += n_bad
+            group[1] += g.size
+    if not bad and math.isfinite(loss):
+        return
+    if not bad:
+        raise DivergenceError(f"non-finite loss {loss} at step {step}; all gradients finite")
+    worst = max(bad, key=lambda k: bad[k][0])
+    n_bad, size = bad[worst]
+    raise DivergenceError(
+        f"non-finite gradient at step {step} (loss {loss}) in {len(bad)} parameter groups; "
+        f"worst {worst}: {n_bad} of {size} entries"
+    )
 
 
 @dataclass(frozen=True)
@@ -372,6 +332,13 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     body, digest = data[:-32], data[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise ValidationError("checkpoint checksum mismatch")
+    try:
+        return _parse_checkpoint(body)
+    except ValueError as exc:  # bad UTF-8, JSON, integer or shape under a valid checksum
+        raise ValidationError(f"malformed checkpoint: {exc}")
+
+
+def _parse_checkpoint(body: bytes) -> Checkpoint:
     view = memoryview(body)
     pos = 0
 
@@ -511,7 +478,7 @@ def train(
     """Train in place; returns the best-validation checkpoint and the log.
 
     Deterministic given the seed when run single-threaded.  Aborts with
-    DivergenceError if the loss goes non-finite.
+    DivergenceError as soon as the loss or a gradient goes non-finite.
     """
     if not train_pairs:
         raise ValidationError("no training pairs")
@@ -543,11 +510,8 @@ def train(
         src, side, tgt = pad_batch([enc_train[i] for i in batch_ids])
 
         rate = learning_rate(step, cfg.hidden_size, config.learning_rate_factor, config.warmup_steps)
-        loss, grads = loss_and_grads(
-            model, src, side, tgt, workers=config.workers, seed=config.seed, step=step
-        )
-        if not math.isfinite(loss):
-            raise DivergenceError(f"non-finite loss {loss} at step {step}")
+        loss, grads = loss_and_grads(model, src, side, tgt, seed=config.seed, step=step)
+        check_finite(step, loss, grads)
         adam_step(model.parameters, grads, state, rate)
 
         evaluate_now = config.eval_every and enc_val and (

@@ -8,7 +8,7 @@ sequence.  The decoder sees the conditioning only through cross-attention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -17,15 +17,16 @@ from .tensor import (
     DropoutSource,
     Tensor,
     add,
+    attention,
     cross_entropy,
     dropout,
     embedding_lookup,
+    keep_mask,
     layer_norm,
     matmul,
     mul,
     relu,
     reshape,
-    softmax,
     transpose,
 )
 from .textprep import PAD_ID
@@ -84,9 +85,18 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of ``to_dict``: every field must be present, and nothing else."""
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in d]
+        unknown = sorted(set(d) - set(names))
+        if missing or unknown:
+            raise ValidationError(f"model config: missing keys {missing}, unknown keys {unknown}")
         d = dict(d)
-        d["side_cardinalities"] = tuple(d["side_cardinalities"])
-        return cls(**d)
+        try:
+            d["side_cardinalities"] = tuple(d["side_cardinalities"])
+            return cls(**d)
+        except TypeError as exc:
+            raise ValidationError(f"model config: a value has the wrong type ({exc})")
 
 
 @dataclass
@@ -236,12 +246,11 @@ def _attend(
     The core shared by the teacher-forced stacks and the cached decoder step.
     """
     batch, t_q = q.shape[0], q.shape[2]
-    q = mul(q, float(cfg.hidden_size // cfg.n_heads) ** -0.5)
-    scores = matmul(q, transpose(k, (0, 1, 3, 2)))
-    if bias is not None:
-        scores = add(scores, Tensor(bias))
-    weights = dropout(softmax(scores), cfg.attention_dropout, train, source)
-    ctx = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (batch, t_q, cfg.hidden_size))
+    keep = keep_mask(
+        q.shape[:3] + k.shape[2:3], cfg.attention_dropout, train, source, cfg.np_dtype
+    )
+    ctx = attention(q, k, v, bias, float(cfg.hidden_size // cfg.n_heads) ** -0.5, keep)
+    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, t_q, cfg.hidden_size))
     return matmul(ctx, params[f"{prefix}.wo"])
 
 
@@ -355,6 +364,19 @@ def decode_logits(
 
     This is the teacher-forced path; decoding advances with ``decode_step``.
     """
+    states = _decoder_states(model, memory, src_bias, tgt_in_ids, train, source)
+    return _output_logits(model.parameters, states)
+
+
+def _decoder_states(
+    model: TransformerModel,
+    memory: Tensor,
+    src_bias: np.ndarray,
+    tgt_in_ids: np.ndarray,
+    train: bool,
+    source: DropoutSource | None,
+) -> Tensor:
+    """The decoder layers' (batch, len, h) output, before the final norm."""
     cfg = model.config
     params = model.parameters
     tgt_in_ids = np.asarray(tgt_in_ids)
@@ -375,7 +397,7 @@ def decode_logits(
         x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
         y = _ffn(params, f"dec{i}.ffn", _normed(params, f"dec{i}.ffn_norm", x), cfg, train, source)
         x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
-    return _output_logits(params, x)
+    return x
 
 
 @dataclass
@@ -385,13 +407,16 @@ class DecoderCache:
     ``cross`` holds each decoder layer's cross-attention (K, V), projected
     once per record; ``self_kv`` holds each layer's self-attention (K, V)
     over every row's prefix, shaped (rows, heads, prefix length, head dim);
-    ``record`` maps each row to its record.
+    ``record`` maps each row to its record, and ``row_cross`` and
+    ``row_src_bias`` are ``cross`` and ``src_bias`` gathered for those rows.
     """
 
     cross: list[tuple[np.ndarray, np.ndarray]]
     src_bias: np.ndarray
     self_kv: list[tuple[np.ndarray, np.ndarray]]
     record: np.ndarray
+    row_cross: list[tuple[np.ndarray, np.ndarray]]
+    row_src_bias: np.ndarray
 
 
 def init_decoder_cache(model: TransformerModel, memory: Tensor, src_bias: np.ndarray) -> DecoderCache:
@@ -409,6 +434,8 @@ def init_decoder_cache(model: TransformerModel, memory: Tensor, src_bias: np.nda
         src_bias=src_bias,
         self_kv=[(empty, empty)] * cfg.n_layers_dec,
         record=np.arange(batch),
+        row_cross=cross,
+        row_src_bias=src_bias,
     )
 
 
@@ -423,7 +450,9 @@ def decode_step(
     Row i extends the prefix of row ``parents[i]`` of the previous step with
     ``tokens[i]``; at the first step the rows are the records.  The cache is
     reindexed by ``parents`` and extended in place, so a step costs O(prefix)
-    instead of re-running the whole prefix.  Inference only: no dropout.
+    instead of re-running the whole prefix.  The rows' cross-attention K/V
+    are gathered again only when the row-to-record map changes.  Inference
+    only: no dropout.
     """
     cfg = model.config
     params = model.parameters
@@ -433,7 +462,10 @@ def decode_step(
     if t >= cfg.max_tgt_len:
         raise ValidationError(f"target length {t + 1} exceeds max {cfg.max_tgt_len}")
     record = cache.record[parents]
-    src_bias = cache.src_bias[record]
+    if not np.array_equal(record, cache.record):
+        cache.record = record
+        cache.row_cross = [(k[record], v[record]) for k, v in cache.cross]
+        cache.row_src_bias = cache.src_bias[record]
     x = _embed_target(model, tokens[:, None], t)
     for i in range(cfg.n_layers_dec):
         y = _normed(params, f"dec{i}.self_norm", x)
@@ -445,15 +477,14 @@ def decode_step(
         x = add(x, _attend(params, f"dec{i}.self_attn", q, Tensor(k), Tensor(v), None, cfg, False, None))
         y = _normed(params, f"dec{i}.cross_norm", x)
         q = _project(params, f"dec{i}.cross_attn.wq", y, cfg)
-        k_mem, v_mem = cache.cross[i]
+        k_mem, v_mem = cache.row_cross[i]
         y = _attend(
-            params, f"dec{i}.cross_attn", q, Tensor(k_mem[record]), Tensor(v_mem[record]),
-            src_bias, cfg, False, None,
+            params, f"dec{i}.cross_attn", q, Tensor(k_mem), Tensor(v_mem),
+            cache.row_src_bias, cfg, False, None,
         )
         x = add(x, y)
         y = _ffn(params, f"dec{i}.ffn", _normed(params, f"dec{i}.ffn_norm", x), cfg, False, None)
         x = add(x, y)
-    cache.record = record
     return _output_logits(params, x).data[:, 0, :]
 
 
@@ -488,10 +519,15 @@ def sequence_loss(
         raise ValidationError(f"target batch must be nonempty (batch, len), got {tgt_ids.shape}")
     if tgt_ids.shape[1] < 2:
         raise ValidationError("target rows need at least BOS and one more token")
-    eps = model.config.label_smoothing if label_smoothing is None else label_smoothing
+    cfg = model.config
+    eps = cfg.label_smoothing if label_smoothing is None else label_smoothing
     dec_in = tgt_ids[:, :-1]
-    targets = tgt_ids[:, 1:]
-    logits = forward(model, src_ids, side_idx, dec_in, train, source)
-    batch, t, vocab = logits.shape
-    flat = reshape(logits, (batch * t, vocab))
-    return cross_entropy(flat, targets.reshape(-1), ignore_id=PAD_ID, label_smoothing=eps)
+    targets = tgt_ids[:, 1:].reshape(-1)
+    memory, src_bias = encode_source(model, src_ids, side_idx, train, source)
+    states = _decoder_states(model, memory, src_bias, dec_in, train, source)
+    # Only the rows with a target reach the output projection; the gather's
+    # backward scatters their gradients back into the padded batch.
+    kept = np.flatnonzero(targets != PAD_ID)
+    rows = embedding_lookup(reshape(states, (targets.size, cfg.hidden_size)), kept)
+    logits = _output_logits(model.parameters, rows)
+    return cross_entropy(logits, targets[kept], label_smoothing=eps)

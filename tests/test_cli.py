@@ -1,5 +1,6 @@
 """Command-line interface: full pipeline, exit codes, provenance, rerun identity."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -267,6 +268,24 @@ class TestExitCodes:
             assert main(args + common + ["--out-dir", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and str(cut) in err[0]
+
+    def test_bad_checkpoint_header_exits_two(self, pipeline, tmp_path, capsys):
+        """A checkpoint with a valid checksum but unknown model keys."""
+        body = open(pipeline["ckpt"], "rb").read()[:-32]
+        assert body.count(b"\nmodel.hidden_size=") == 1
+        body = body.replace(b"\nmodel.hidden_size=", b"\nmodel.hidden_dims=")
+        body = body.replace(b"\nmodel.n_heads=", b"\nmodel.n_headz=")
+        bad = tmp_path / "checkpoint.bin"
+        bad.write_bytes(body + hashlib.sha256(body).digest())
+        capsys.readouterr()
+        code = main([
+            "predict", "--checkpoint", str(bad), "--corpus", pipeline["test_tsv"],
+            "--src-tok", pipeline["src_tok"], "--tgt-tok", pipeline["tgt_tok"],
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "hidden_dims" in err[0] and "hidden_size" in err[0]
 
     def test_missing_file_exits_three(self, tmp_path):
         assert main([

@@ -1,7 +1,6 @@
 """Consensus voting, greedy member selection, manifest files."""
 
 import itertools
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -73,20 +72,30 @@ class TestConsensusRules:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_strict_majority_always_wins(self, data):
+    def test_pick_attains_brute_force_maximum(self, data):
+        """The pick has the largest mean pairwise F, and the lowest index
+        among candidates that share it; members include strict majorities."""
         alphabet = ("A00", "B01", "C22", "I10", "E119")
         codes = st.lists(st.sampled_from(alphabet), min_size=0, max_size=4).map(
             lambda c: tuple(sorted(c))
         )
-        n = data.draw(st.integers(3, 7))
-        majority = data.draw(codes)
-        k = n // 2 + 1
-        others = [data.draw(codes) for _ in range(n - k)]
-        members = [majority] * k + others
+        n = data.draw(st.integers(2, 7))
+        k = data.draw(st.integers(1, n))
+        members = [data.draw(codes)] * k + [data.draw(codes) for _ in range(n - k)]
         order = data.draw(st.permutations(range(n)))
         cands = [P(members[i]) for i in order]
-        got = consensus(cands)
-        assert Counter(got.codes) == Counter(majority)
+        means = [
+            sum(f_measure(c.codes, o.codes) for j, o in enumerate(cands) if j != i) / (n - 1)
+            for i, c in enumerate(cands)
+        ]
+        first_best = means.index(max(means))
+        assert consensus(cands).codes == cands[first_best].codes
+
+    def test_mixed_candidate_can_beat_a_strict_majority(self):
+        # The majority's mean F is (3 + 2/3) / 6 = 0.611; the mixed candidate's
+        # is (4 * 2/3 + 2 * 2/3) / 6 = 0.667.
+        cands = [P(["A00"])] * 4 + [P(["B01"]), P(["A00", "B01"]), P(["B01"])]
+        assert consensus(cands).codes == ("A00", "B01")
 
     def test_permutation_invariance_when_winner_is_unique(self):
         rng = np.random.default_rng(0)

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medseq import tensor
 from medseq.errors import ShapeError, ValidationError
 from medseq.tensor import (
     GeneratorDropout,
     Tape,
     Tensor,
     add,
+    attention,
     cross_entropy,
     dropout,
     embedding_lookup,
@@ -25,7 +27,6 @@ from medseq.tensor import (
     reduce_sum,
     relu,
     reshape,
-    softmax,
     transpose,
 )
 
@@ -46,15 +47,21 @@ def check(f, params, **kw):
     )
 
 
+def attention_weights(q: Tensor, k: Tensor) -> np.ndarray:
+    """The softmax weights inside ``attention``: against identity values its
+    output is the (t_q, t_k) weight matrix itself."""
+    return attention(q, k, Tensor(np.eye(k.shape[-2])), None, 1.0).data
+
+
 class TestForwardValues:
     def test_softmax_uniform(self):
-        out = softmax(Tensor(np.zeros(3)))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-12)
+        out = attention_weights(Tensor(np.zeros((1, 2))), Tensor(np.ones((3, 2))))
+        np.testing.assert_allclose(out, [[1 / 3] * 3], atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        out = softmax(Tensor(rng.standard_normal((4, 7))))
-        np.testing.assert_allclose(out.data.sum(-1), np.ones(4), atol=1e-12)
+        out = attention_weights(Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((7, 3))))
+        np.testing.assert_allclose(out.sum(-1), np.ones(4), atol=1e-12)
 
     def test_relu_zero_grad_below_zero(self):
         x = Tensor(np.array([-2.0, -0.5, 0.5]))
@@ -238,10 +245,13 @@ class TestPrimitiveGradients:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), rows=st.integers(1, 3), cols=st.integers(2, 5))
     def test_softmax(self, seed, rows, cols):
+        # the softmax inside attention, its weights read out through identity values
         rng = np.random.default_rng(seed)
-        x = rnd(rng, rows, cols)
+        q = rnd(rng, rows, 2)
+        k = rnd(rng, cols, 2)
         w = rnd(rng, rows, cols)
-        check(lambda: reduce_sum(mul(softmax(x), w)), {"x": x})
+        eye = Tensor(np.eye(cols))
+        check(lambda: reduce_sum(mul(attention(q, k, eye, None, 1.0), w)), {"q": q, "k": k})
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), rows=st.integers(1, 3), cols=st.integers(3, 6))
@@ -307,6 +317,117 @@ class TestPrimitiveGradients:
         check(lambda: mul(reduce_sum(x), reduce_sum(x)), {"x": x})
 
 
+def softmax_ref(x: Tensor) -> Tensor:
+    """The standalone softmax tape op that attention's fused node replaced."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+    return tensor._record(s, (x,), (back,))
+
+
+def composed_attention(q, k, v, bias, scale, keep):
+    """softmax((q * scale) kᵀ + bias) v from separate tape ops."""
+    scores = matmul(mul(q, scale), transpose(k, (0, 1, 3, 2)))
+    if bias is not None:
+        scores = add(scores, Tensor(bias))
+    weights = softmax_ref(scores)
+    if keep is not None:
+        weights = mul(weights, Tensor(keep))
+    return matmul(weights, v)
+
+
+class TestAttention:
+    """The fused node against the composed ops it replaced, in float64."""
+
+    def _inputs(self, seed, with_bias, with_keep):
+        rng = np.random.default_rng(seed)
+        q, k, v = rnd(rng, 2, 3, 4, 5), rnd(rng, 2, 3, 6, 5), rnd(rng, 2, 3, 6, 5)
+        bias = None
+        if with_bias:
+            bias = np.zeros((2, 1, 4, 6))
+            bias[0, ..., 4:] = -1e9  # padded keys
+            bias[1] = np.triu(np.full((4, 6), -1e9), k=3)
+        keep = None
+        if with_keep:
+            keep = GeneratorDropout(seed).mask((2, 3, 4, 6), 0.3, np.dtype("float64"))
+        return q, k, v, bias, keep
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("with_keep", [False, True])
+    def test_matches_composed_ops(self, with_bias, with_keep):
+        q, k, v, bias, keep = self._inputs(1, with_bias, with_keep)
+        w = np.random.default_rng(2).standard_normal((2, 3, 4, 5))
+        params = {"q": q, "k": k, "v": v}
+        results = []
+        for fn in (attention, composed_attention):
+            with Tape() as tape:
+                out = fn(q, k, v, bias, 0.4, keep)
+                grads = tape.gradients(reduce_sum(mul(out, Tensor(w))), params)
+            results.append((out.data, grads))
+        (fused, fused_grads), (ref, ref_grads) = results
+        np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+        for name in params:
+            np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("with_keep", [False, True])
+    def test_finite_differences(self, with_bias, with_keep):
+        q, k, v, bias, keep = self._inputs(3, with_bias, with_keep)
+        w = Tensor(np.random.default_rng(4).standard_normal((2, 3, 4, 5)))
+        check(
+            lambda: reduce_sum(mul(attention(q, k, v, bias, 0.4, keep), w)),
+            {"q": q, "k": k, "v": v},
+        )
+
+    def test_is_one_tape_node(self):
+        q, k, v, bias, keep = self._inputs(5, True, True)
+        with Tape() as tape:
+            attention(q, k, v, bias, 0.4, keep)
+        assert len(tape._nodes) == 1
+
+
+class TestWeightMatmul:
+    @pytest.mark.parametrize("lead", [(6,), (3, 4), (2, 3, 2)])
+    def test_flattened_gemm_matches_batched_reference(self, lead):
+        rng = np.random.default_rng(len(lead))
+        a = rnd(rng, *lead, 5)
+        b = rnd(rng, 5, 7)
+        g = rng.standard_normal(lead + (7,))
+        with Tape() as tape:
+            out = matmul(a, b)
+            grads = tape.gradients(reduce_sum(mul(out, Tensor(g))), {"a": a, "b": b})
+        np.testing.assert_allclose(out.data, np.einsum("...k,km->...m", a.data, b.data),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads["a"], g @ b.data.T, rtol=0, atol=1e-12)
+        stacked = np.swapaxes(a.data, -1, -2) @ g  # one (5, 7) product per leading index
+        np.testing.assert_allclose(grads["b"], stacked.reshape(-1, 5, 7).sum(axis=0),
+                                   rtol=0, atol=1e-12)
+
+
+class TestCrossEntropyDtype:
+    def test_float32_matches_float64(self):
+        rng = np.random.default_rng(6)
+        logits = rng.standard_normal((9, 40)) * 3
+        targets = rng.integers(1, 40, size=9)
+        targets[[2, 5]] = 0
+        results = []
+        for dtype in (np.float32, np.float64):
+            x = Tensor(logits.astype(dtype))
+            with Tape() as tape:
+                loss = cross_entropy(x, targets, ignore_id=0, label_smoothing=0.1)
+                grads = tape.gradients(loss, {"x": x})
+            results.append((float(loss.data), grads["x"]))
+        (loss32, grad32), (loss64, grad64) = results
+        assert grad32.dtype == np.float32
+        np.testing.assert_allclose(loss32, loss64, rtol=1e-6)
+        np.testing.assert_allclose(grad32, grad64, rtol=0, atol=1e-7)
+        assert not grad32[[2, 5]].any()
+
+
 class TestDropout:
     def test_identity_when_not_training(self):
         x = Tensor(np.ones((4, 4)))
@@ -339,6 +460,24 @@ class TestDropout:
         zeros = y.data == 0
         np.testing.assert_array_equal(grads["x"][zeros], 0.0)
         np.testing.assert_allclose(grads["x"][~zeros], 1.0 / 0.6, rtol=1e-12)
+
+
+    def test_masks_are_float32_draws_in_the_model_dtype(self):
+        m32 = GeneratorDropout((7, 3)).mask((40, 30), 0.25, np.dtype("float32"))
+        m64 = GeneratorDropout((7, 3)).mask((40, 30), 0.25, np.dtype("float64"))
+        assert m32.dtype == np.float32 and m64.dtype == np.float64
+        np.testing.assert_array_equal(m32 > 0, m64 > 0)
+        assert set(np.unique(m32)) == {0.0, np.float32(1 / 0.75)}
+
+    def test_same_seed_and_step_reproduce_masks(self):
+        def masks(key):
+            source = GeneratorDropout(key)
+            return [source.mask((8, 9), 0.5, np.dtype("float32")) for _ in range(3)]
+
+        for a, b in zip(masks((11, 4)), masks((11, 4))):
+            np.testing.assert_array_equal(a, b)
+        assert any(not np.array_equal(a, b) for a, b in zip(masks((11, 4)), masks((11, 5))))
+        assert any(not np.array_equal(a, b) for a, b in zip(masks((11, 4)), masks((12, 4))))
 
 
 class TestDtypeDiscipline:

@@ -1,5 +1,6 @@
 """Optimizer, schedule, checkpoint container, training loop, random search."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from medseq.train import (
     SearchSpace,
     TrainConfig,
     adam_step,
+    check_finite,
     checkpoint_bytes,
     checkpoint_from_bytes,
     checkpoint_sha256,
@@ -115,7 +117,7 @@ class TestTrainConfig:
             dict(warmup_steps=0),
             dict(max_steps=0),
             dict(batch_size=0),
-            dict(workers=0),
+            dict(early_stop_patience=-1),
             dict(eval_every=-1),
             dict(val_limit=0),
             dict(log_every=0),
@@ -193,6 +195,21 @@ class TestCheckpoint:
         with pytest.raises(ValidationError):
             checkpoint_from_bytes(b"not a checkpoint at all" * 10)
 
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            (b"\nmodel.n_heads=", b"\nmodel.n_headz="),     # unknown and missing key
+            (b"\nmodel.n_heads=", b"\nmodel.n_headsX="),    # header length now wrong
+            (b"\noptimizer.step=17", b"\noptimizer.step=xx"),
+        ],
+    )
+    def test_bad_header_under_valid_checksum_rejected(self, old, new):
+        body = checkpoint_bytes(_small_checkpoint())[:-32]
+        assert body.count(old) == 1
+        body = body.replace(old, new)
+        with pytest.raises(ValidationError):
+            checkpoint_from_bytes(body + hashlib.sha256(body).digest())
+
     def test_sha_tracks_content(self):
         a = _small_checkpoint()
         b = _small_checkpoint()
@@ -263,22 +280,15 @@ class TestLossAndGrads:
             tgt[i, 1 + n] = EOS_ID
         return model, src, side, tgt
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("dropout", [0.0, 0.2])
-    def test_sharded_run_matches_single_worker(self, workers, dropout):
-        model, src, side, tgt = self._setup(dropout)
-        loss1, grads1 = loss_and_grads(model, src, side, tgt, workers=1, seed=7, step=3)
-        lossn, gradsn = loss_and_grads(model, src, side, tgt, workers=workers, seed=7, step=3)
-        np.testing.assert_allclose(lossn, loss1, rtol=1e-10)
-        assert grads1.keys() == gradsn.keys()
-        for name in grads1:
-            np.testing.assert_allclose(gradsn[name], grads1[name], atol=1e-10, rtol=1e-8)
-
-    def test_more_workers_than_rows(self):
-        model, src, side, tgt = self._setup(0.0)
-        loss1, _ = loss_and_grads(model, src, side, tgt, workers=1)
-        loss9, _ = loss_and_grads(model, src, side, tgt, workers=9)
-        np.testing.assert_allclose(loss9, loss1, rtol=1e-10)
+    def test_dropout_stream_is_keyed_by_seed_and_step(self):
+        model, src, side, tgt = self._setup(0.2)
+        loss, grads = loss_and_grads(model, src, side, tgt, seed=7, step=3)
+        again, grads_again = loss_and_grads(model, src, side, tgt, seed=7, step=3)
+        assert loss == again
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], grads_again[name])
+        assert loss_and_grads(model, src, side, tgt, seed=7, step=4)[0] != loss
+        assert loss_and_grads(model, src, side, tgt, seed=8, step=3)[0] != loss
 
     def test_all_pad_batch_rejected(self):
         model, src, side, tgt = self._setup(0.0)
@@ -322,6 +332,33 @@ class TestTrainLoop:
         tcfg = TrainConfig(max_steps=5, batch_size=8, eval_every=0)
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
             train(model, pairs, [], src_tok, tgt_tok, tcfg)
+
+    def test_nan_parameter_stops_before_the_first_update(self, toy_data):
+        _, pairs, src_tok, tgt_tok = toy_data
+        cfg = ModelConfig(src_vocab_size=src_tok.size, tgt_vocab_size=tgt_tok.size, **TOY_MODEL_CFG)
+        model = init_model(cfg, seed=3)
+        model.parameters["dec0.ffn.w1"].data[0, 0] = np.nan
+        before = {k: p.data.copy() for k, p in model.parameters.items()}
+        tcfg = TrainConfig(max_steps=5, batch_size=8, eval_every=0)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            DivergenceError, match=r"non-finite gradient at step 1 .* worst [\w.]+: \d+ of \d+"
+        ):
+            train(model, pairs, [], src_tok, tgt_tok, tcfg)
+        for name, arr in before.items():
+            assert np.array_equal(model.parameters[name].data, arr, equal_nan=True), name
+
+    def test_non_finite_gradient_fails_even_with_finite_loss(self):
+        grads = {
+            "enc0.attn.wq": np.zeros((2, 2)),
+            "dec1.ffn.w1": np.array([[np.nan, 1.0], [np.inf, 0.0]]),
+            "dec1.ffn.b1": np.array([np.nan, 0.0]),
+            "src_embed": np.array([[np.inf, 0.0]]),
+        }
+        with pytest.raises(DivergenceError, match=r"step 12 .*in 2 parameter groups; worst dec1\.ffn: 3 of 6"):
+            check_finite(12, 0.5, grads)
+        with pytest.raises(DivergenceError, match="step 3"):
+            check_finite(3, float("nan"), {"x": np.ones(2)})
+        check_finite(3, 0.5, {"x": np.ones(2)})
 
     def test_early_stopping_with_flat_validation(self, toy_data):
         # factor 0 -> nothing improves, so patience expires deterministically

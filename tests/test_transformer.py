@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from medseq.errors import ConfigError, ValidationError
-from medseq.tensor import Tensor, cross_entropy, finite_diff_check, reshape
+from medseq.tensor import GeneratorDropout, Tape, Tensor, cross_entropy, finite_diff_check, reshape
 from medseq.textprep import BOS_ID, EOS_ID, PAD_ID
 from medseq.train import OptimizerState, adam_step, learning_rate, loss_and_grads
 from medseq.transformer import (
@@ -106,6 +106,20 @@ class TestModelConfig:
         cfg = tiny_cfg()
         restored = ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert restored == cfg
+
+    def test_from_dict_names_missing_and_unknown_keys(self):
+        d = tiny_cfg().to_dict()
+        d.pop("n_heads")
+        d["n_head"] = 2
+        with pytest.raises(ValidationError, match=r"missing keys \['n_heads'\], unknown keys \['n_head'\]"):
+            ModelConfig.from_dict(d)
+
+    def test_from_dict_rejects_wrong_value_types(self):
+        for key, value in (("side_cardinalities", 3), ("hidden_size", "8")):
+            d = tiny_cfg().to_dict()
+            d[key] = value
+            with pytest.raises(ValidationError):
+                ModelConfig.from_dict(d)
 
 
 class TestInit:
@@ -381,6 +395,35 @@ class TestSequenceLoss:
         )
         auto = sequence_loss(model, src, side, tgt)
         assert float(auto.data) == float(manual.data)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_rows_only_gradients_match_full_logits(self, dropout):
+        """Projecting only the non-PAD rows gives the loss and gradients of
+        cross-entropy over the full padded logits."""
+        cfg = tiny_cfg(layer_postprocess_dropout=dropout, attention_dropout=dropout,
+                       relu_dropout=dropout)
+        model = init_model(cfg, seed=18)
+        rng = np.random.default_rng(18)
+        src, side, tgt = rand_batch(cfg, rng, batch=4, src_len=5, tgt_len=6)
+        assert (tgt[:, 1:] == PAD_ID).any()
+
+        def full_logits_loss():
+            logits = forward(model, src, side, tgt[:, :-1], True, GeneratorDropout(5))
+            b, t, v = logits.shape
+            return cross_entropy(reshape(logits, (b * t, v)), tgt[:, 1:].reshape(-1),
+                                 ignore_id=PAD_ID, label_smoothing=cfg.label_smoothing)
+
+        results = []
+        for f in (full_logits_loss,
+                  lambda: sequence_loss(model, src, side, tgt, True, GeneratorDropout(5))):
+            with Tape() as tape:
+                loss = f()
+                results.append((float(loss.data), tape.gradients(loss, model.parameters)))
+        (full, full_grads), (rows, rows_grads) = results
+        np.testing.assert_allclose(rows, full, rtol=1e-12)
+        for name in full_grads:
+            np.testing.assert_allclose(rows_grads[name], full_grads[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
 
     def test_batch_duplication_invariance(self):
         cfg = tiny_cfg()
