@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, file_sha256
+from .config import RunConfig, atomic_open, file_sha256
 from .decoding import Prediction, predict_pairs, read_predictions, write_predictions
 from .ensemble import ensemble_predict, greedy_select, read_manifest, write_manifest
 from .errors import (
@@ -32,6 +32,7 @@ from .metrics import (
     format_metric_report,
     micro_metrics,
     per_chapter,
+    read_calibration,
     report_to_kv,
     stratified_report,
 )
@@ -87,13 +88,18 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
 def _write_provenance(out: Path, cfg: RunConfig, inputs: dict[str, str]) -> None:
     lines = [f"# medseq {__version__}", f"# config_sha256={cfg.sha256()}"]
     for role in sorted(inputs):
         path = inputs[role]
         lines.append(f"# input {role}={path} sha256={file_sha256(path)}")
     text = "\n".join(lines) + "\n" + cfg.effective_text()
-    (out / "effective-config.txt").write_text(text, encoding="utf-8")
+    _write_text(out / "effective-config.txt", text)
 
 
 def _model_config(cfg: RunConfig, src_vocab: int, tgt_vocab: int) -> ModelConfig:
@@ -238,7 +244,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model = init_model(model_cfg, seed=cfg.get_int("model.seed"))
     result = train(model, train_pairs, val_pairs, src_tok, tgt_tok, train_cfg)
     save_checkpoint(result.checkpoint, out / "checkpoint.bin")
-    (out / "train.log").write_text("\n".join(format_log(result.log)) + "\n", encoding="utf-8")
+    _write_text(out / "train.log", "\n".join(format_log(result.log)) + "\n")
     _write_provenance(
         out, cfg,
         {"train": args.train, "val": args.val, "src_tok": args.src_tok, "tgt_tok": args.tgt_tok},
@@ -273,7 +279,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         tgt_tok,
         seed=cfg.get_int("search.seed"),
     )
-    (out / "trials.tsv").write_text(format_trial_table(results) + "\n", encoding="utf-8")
+    _write_text(out / "trials.tsv", format_trial_table(results) + "\n")
     save_checkpoint(results[0].checkpoint, out / "best-checkpoint.bin")
     _write_provenance(
         out, cfg,
@@ -431,13 +437,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report_text = format_metric_report(overall)
     if dropped:
         report_text += f"\nmalformed predicted codes excluded from chapter attribution: {dropped}"
-    (out / "report.txt").write_text(report_text + "\n", encoding="utf-8")
+    _write_text(out / "report.txt", report_text + "\n")
     kv = [report_to_kv(overall)] + [report_to_kv(r) for r in strata_reports]
-    (out / "report.kv").write_text("\n".join(kv) + "\n", encoding="utf-8")
-    (out / "strata.txt").write_text(
-        "\n\n".join(format_metric_report(r) for r in strata_reports) + "\n", encoding="utf-8"
+    _write_text(out / "report.kv", "\n".join(kv) + "\n")
+    _write_text(
+        out / "strata.txt", "\n\n".join(format_metric_report(r) for r in strata_reports) + "\n"
     )
-    (out / "chapters.txt").write_text(format_chapter_report(chapters) + "\n", encoding="utf-8")
+    _write_text(out / "chapters.txt", format_chapter_report(chapters) + "\n")
     _write_provenance(out, cfg, {"predictions": args.predictions, "corpus": args.corpus})
     p = f"{overall.precision:.4f}" if overall.precision is not None else "-"
     r = f"{overall.recall:.4f}" if overall.recall is not None else "-"
@@ -456,7 +462,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         for (pred_codes, truth), pred in zip(pairs, ordered_preds)
     ]
     curve = calibration_curve(entries)
-    (out / "calibration.tsv").write_text(format_calibration(curve) + "\n", encoding="utf-8")
+    _write_text(out / "calibration.tsv", format_calibration(curve) + "\n")
     _write_provenance(out, cfg, {"predictions": args.predictions, "corpus": args.corpus})
     base = curve.rows[0].f_accepted
     print(f"calibration curve written; F at zero rejection {base:.4f}" if base is not None else
@@ -474,14 +480,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         sections.append("== metrics ==\n" + kv_path.read_text(encoding="utf-8").rstrip())
     cal_path = run_dir / "calibration.tsv"
     if cal_path.exists():
-        lines = cal_path.read_text(encoding="utf-8").splitlines()[1:]
         best = None
-        for line in lines:
-            thr, frac, f_text = line.split("\t")
-            if f_text and float(frac) <= 0.30:
-                f = float(f_text)
+        for thr, frac, f in read_calibration(cal_path):
+            if f is not None and frac <= 0.30:
                 if best is None or f > best[1]:
-                    best = (float(thr), f, float(frac))
+                    best = (thr, f, frac)
         if best is not None:
             sections.append(
                 "== calibration ==\n"
@@ -491,7 +494,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not sections:
         raise ValidationError(f"no report artifacts found in {run_dir}")
     text = "\n\n".join(sections) + "\n"
-    (out / "summary.txt").write_text(text, encoding="utf-8")
+    _write_text(out / "summary.txt", text)
     print(text, end="")
     return 0
 

@@ -3,14 +3,16 @@
 Sources merge in fixed precedence: built-in defaults, then the MEDSEQ_SEED
 environment fallback (applies to every *.seed key), then the config file,
 then --set overrides, then dedicated command flags.  Unknown keys are
-rejected so typos fail loudly.
+rejected so typos fail loudly.  The module also holds the file helpers that
+every artifact reader and writer shares.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import Mapping
+from contextlib import contextmanager
+from typing import IO, Iterator, Mapping
 
 from .errors import ConfigError
 
@@ -157,3 +159,27 @@ def file_sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w") -> Iterator[IO]:
+    """Write `path` all at once: a killed or failing writer leaves it as it was.
+
+    Yields a file opened on a fresh temporary name in the same directory
+    (UTF-8 with "\\n" newlines for mode "w", bytes for "wb").  A clean exit
+    renames it over `path`; an exception removes it.  There is no fsync: this
+    guards against a killed process, not against power loss.
+    """
+    if mode not in ("w", "wb"):
+        raise ValueError(f"atomic_open mode must be 'w' or 'wb', got {mode!r}")
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    text = {} if mode == "wb" else {"encoding": "utf-8", "newline": "\n"}
+    fh = open(tmp, mode.replace("w", "x"), **text)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import atomic_open
 from .errors import ValidationError
 from .textprep import BOS_ID, EOS_ID, PAD_ID, TokenizerModel, TrainingPair, token_is_word_final
 from .textprep import decode as decode_tokens
@@ -228,7 +229,7 @@ def predict_pairs(
 
 def write_predictions(path: str, predictions: list[Prediction]) -> None:
     """Tab-separated rows: id, space-joined codes, score with 6 decimals."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         for p in predictions:
             fh.write(f"{p.id}\t{' '.join(p.codes)}\t{p.score:.6f}\n")
 

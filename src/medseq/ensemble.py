@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .config import atomic_open
 from .decoding import DEFAULT_ALPHA, DEFAULT_BEAM_WIDTH, Prediction, predict_pairs
 from .errors import ValidationError
 from .metrics import f_measure, micro_metrics
@@ -177,7 +178,7 @@ def write_manifest(path: str, member_paths: Sequence[str], member_hashes: Sequen
     """Persist member checkpoint paths, their hashes, and the selection log."""
     if len(member_paths) != len(member_hashes) or len(member_paths) != len(ensemble.member_indices):
         raise ValidationError("manifest members, hashes and indices must align")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         for p, h in zip(member_paths, member_hashes):
             fh.write(f"member\t{p}\t{h}\n")
         for step in ensemble.log:

@@ -209,7 +209,8 @@ def calibration_curve(
 
     Each entry is (predicted codes, score, true codes).  At each threshold,
     predictions with score <= threshold are rejected; micro F is reported
-    on the accepted remainder.
+    on the accepted remainder.  Each record is matched once; a threshold
+    sums the (tp, fp, fn) rows of the records it accepts.
     """
     if not scored_pairs:
         raise ValidationError("calibration_curve needs at least one prediction")
@@ -217,17 +218,20 @@ def calibration_curve(
         if not 0.0 < score <= 1.0:
             raise ValidationError(f"scores must be in (0, 1], got {score}")
     n = len(scored_pairs)
+    counts = np.array([count_matches(p, t) for p, _, t in scored_pairs], dtype=np.int64)
+    scores = np.array([s for _, s, _ in scored_pairs], dtype=np.float64)
     rows = []
     for i in range(101):
         threshold = i / 100.0
-        accepted = [(p, t) for p, s, t in scored_pairs if s > threshold]
-        f = micro_metrics(accepted).f_measure if accepted else None
+        accepted = scores > threshold
+        n_accepted = int(accepted.sum())
+        tp, fp, fn = (int(c) for c in counts[accepted].sum(axis=0))
         rows.append(
             CalibrationRow(
                 threshold=threshold,
-                fraction_rejected=(n - len(accepted)) / n,
-                f_accepted=f,
-                n_accepted=len(accepted),
+                fraction_rejected=(n - n_accepted) / n,
+                f_accepted=f_from_counts(tp, fp, fn) if n_accepted else None,
+                n_accepted=n_accepted,
             )
         )
     return CalibrationCurve(rows=tuple(rows))
@@ -314,10 +318,64 @@ def format_chapter_report(report: ChapterReport) -> str:
     return "\n".join(lines)
 
 
+_CALIBRATION_HEADER = "threshold\tfraction_rejected\tf_accepted"
+
+
 def format_calibration(curve: CalibrationCurve) -> str:
     """3-column delimited text: threshold, fraction rejected, F on accepted."""
-    lines = ["threshold\tfraction_rejected\tf_accepted"]
+    lines = [_CALIBRATION_HEADER]
     for row in curve.rows:
         f_text = f"{row.f_accepted:.6f}" if row.f_accepted is not None else ""
         lines.append(f"{row.threshold:.2f}\t{row.fraction_rejected:.6f}\t{f_text}")
     return "\n".join(lines)
+
+
+def read_calibration(path) -> list[tuple[float, float, float | None]]:
+    """Parse a calibration file written from format_calibration.
+
+    Returns one (threshold, fraction rejected, F on accepted or None) row per
+    grid threshold.  A wrong header, a row off the 0.00..1.00 grid, a wrong
+    field count, an unparsable or out-of-range number, or a missing row
+    (a cut file) raises ValidationError naming the path and the line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"calibration file {path}: not UTF-8 text") from None
+    if not lines or lines[0] != _CALIBRATION_HEADER:
+        raise ValidationError(f"calibration file {path}: line 1: bad or missing header")
+
+    def number(text: str, line_no: int, name: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = None
+        if value is None or not 0.0 <= value <= 1.0:
+            raise ValidationError(f"calibration file {path}: line {line_no}: bad {name} {text!r}")
+        return value
+
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValidationError(
+                f"calibration file {path}: line {line_no}: {len(fields)} fields, want 3"
+            )
+        thr_text, frac_text, f_text = fields
+        i = line_no - 2
+        if i > 100 or thr_text != f"{i / 100.0:.2f}":
+            raise ValidationError(
+                f"calibration file {path}: line {line_no}: threshold {thr_text!r} is off the grid"
+            )
+        rows.append((
+            i / 100.0,
+            number(frac_text, line_no, "fraction_rejected"),
+            number(f_text, line_no, "f_accepted") if f_text else None,
+        ))
+    if len(rows) != 101:
+        raise ValidationError(
+            f"calibration file {path}: truncated after line {len(lines)} ({len(rows)} of 101 rows)"
+        )
+    return rows

@@ -12,6 +12,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .config import atomic_open
 from .errors import ConfigError, CorpusFormatError, ValidationError
 
 N_LINES = 6
@@ -203,7 +204,7 @@ _HEADER = (
 
 def write_corpus(certs: list[Certificate], path, year_min: int = YEAR_MIN) -> None:
     """Write certificates as UTF-8 TSV, one row per certificate."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write("\t".join(_HEADER) + "\n")
         for cert in certs:
             cells = [

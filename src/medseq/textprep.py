@@ -8,11 +8,13 @@ Source text and target code strings each get their own subword model.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
+from .config import atomic_open
 from .errors import ConfigError, ValidationError
 from .records import Certificate, Icd10Code, N_LINES, SideVariables
 
@@ -106,20 +108,16 @@ def _apply_merge(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, 
     return tuple(out)
 
 
-def _pair_counts(word_freqs: dict[tuple[str, ...], int]) -> Counter:
-    counts: Counter = Counter()
-    for symbols, freq in word_freqs.items():
-        for a, b in zip(symbols, symbols[1:]):
-            counts[(a, b)] += freq
-    return counts
-
-
 def bpe_train(corpus: list[str], target_vocab_size: int) -> TokenizerModel:
     """Learn merges by repeatedly fusing the most frequent adjacent pair.
 
     Ties break toward the lexicographically smallest pair. Training stops at
     the target vocabulary size, or earlier (with `exhausted` set) once no
     adjacent pair occurs twice.
+
+    Pair counts are kept up to date incrementally: a merge recounts only the
+    words that contain the merged pair, and the best pair comes from a heap
+    of (-count, pair) entries whose stale entries are skipped when popped.
     """
     if not corpus:
         raise ValidationError("cannot train a tokenizer on an empty corpus")
@@ -140,18 +138,47 @@ def bpe_train(corpus: list[str], target_vocab_size: int) -> TokenizerModel:
             f"plus reserved tokens ({len(vocab)})"
         )
 
-    word_freqs = {_word_symbols(w): f for w, f in raw_freqs.items()}
+    words = [_word_symbols(w) for w in raw_freqs]
+    freqs = list(raw_freqs.values())
+    counts: defaultdict[tuple[str, str], int] = defaultdict(int)
+    where: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for i, symbols in enumerate(words):
+        for pair in zip(symbols, symbols[1:]):
+            counts[pair] += freqs[i]
+            where[pair].add(i)
+    heap = [(-freq, pair) for pair, freq in counts.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
     exhausted = False
     while len(vocab) < target_vocab_size:
-        counts = _pair_counts(word_freqs)
-        best_freq = max(counts.values()) if counts else 0
-        if best_freq < 2:
+        while heap and counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
             exhausted = True
             break
-        best = min(pair for pair, freq in counts.items() if freq == best_freq)
+        best = heap[0][1]
         merges.append(best)
-        word_freqs = {_apply_merge(sym, best): f for sym, f in word_freqs.items()}
+        # Recount each touched word in full, so overlapping pairs stay exact.
+        delta: defaultdict[tuple[str, str], int] = defaultdict(int)
+        for i in where.pop(best):
+            old = words[i]
+            new = _apply_merge(old, best)
+            if new == old:
+                continue
+            words[i] = new
+            for pair in zip(old, old[1:]):
+                delta[pair] -= freqs[i]
+            for pair in zip(new, new[1:]):
+                delta[pair] += freqs[i]
+                where[pair].add(i)
+        for pair, d in delta.items():
+            if d:
+                counts[pair] += d
+                if counts[pair]:
+                    heapq.heappush(heap, (-counts[pair], pair))
+                else:
+                    del counts[pair]
         merged = best[0] + best[1]
         if merged not in vocab:
             vocab[merged] = len(vocab)
@@ -316,7 +343,7 @@ def tokenizer_loads(text: str) -> TokenizerModel:
 
 
 def save_tokenizer(model: TokenizerModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write(tokenizer_dumps(model))
 
 

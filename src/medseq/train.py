@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import atomic_open
 from .decoding import greedy_decode
 from .errors import ConfigError, DivergenceError, ShapeError, ValidationError
 from .metrics import micro_metrics
@@ -416,7 +417,7 @@ def _parse_checkpoint(body: bytes) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(checkpoint_bytes(ckpt))
 
 

@@ -3,7 +3,9 @@
 Run ``pytest tests/test_acceptance.py -v`` to get one pass/fail line per
 criterion.  Everything here runs on the built-in synthetic corpus at desk
 scale in minutes; the hours-long full-scale end-to-end variant is included
-but only runs when MEDSEQ_FULL_ACCEPTANCE=1 is set.
+but only runs when MEDSEQ_FULL_ACCEPTANCE=1 is set.  Every test here carries
+the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the rest
+of the suite without them.
 """
 
 import math
@@ -55,6 +57,8 @@ from medseq.train import model_from_checkpoint
 from medseq.transformer import ModelConfig, forward, init_model, sequence_loss
 
 from test_decoding import _all_finished as exhaustive_hypotheses
+
+pytestmark = pytest.mark.acceptance
 
 FULL_SCALE = os.environ.get("MEDSEQ_FULL_ACCEPTANCE") == "1"
 

@@ -287,6 +287,26 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "hidden_dims" in err[0] and "hidden_size" in err[0]
 
+    def test_bad_calibration_file_exits_two(self, pipeline, tmp_path, capsys):
+        text = (pipeline["eval"] / "calibration.tsv").read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        cases = {
+            "mid_line": text[: len(text) // 2 + 3],
+            "line_boundary": "".join(lines[:40]),
+            "bad_float": text.replace("0.50\t", "0.50\tzero", 1),
+            "field_count": text.replace("0.50\t", "0.50\t1\t", 1),
+        }
+        for name, body in cases.items():
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            (run_dir / "calibration.tsv").write_text(body, encoding="utf-8")
+            capsys.readouterr()
+            code = main(["report", "--dir", str(run_dir), "--out-dir", str(run_dir)])
+            assert code == 2, name
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "calibration.tsv" in err[0], name
+            assert not (run_dir / "summary.txt").exists()
+
     def test_missing_file_exits_three(self, tmp_path):
         assert main([
             "split", "--corpus", str(tmp_path / "absent.tsv"), "--out-dir", str(tmp_path),

@@ -18,6 +18,7 @@ from medseq.metrics import (
     format_metric_report,
     micro_metrics,
     per_chapter,
+    read_calibration,
     report_to_kv,
     stratified_report,
     stratum_label,
@@ -286,6 +287,99 @@ class TestCalibration:
         assert len(lines) == 102
         assert lines[1] == "0.00\t0.000000\t1.000000"
         assert lines[-1] == "1.00\t1.000000\t"
+
+
+def _reference_calibration(scored):
+    """One micro_metrics call per threshold over the accepted records."""
+    n = len(scored)
+    rows = []
+    for i in range(101):
+        threshold = i / 100.0
+        accepted = [(p, t) for p, s, t in scored if s > threshold]
+        f = micro_metrics(accepted).f_measure if accepted else None
+        rows.append(CalibrationRow(threshold, (n - len(accepted)) / n, f, len(accepted)))
+    return tuple(rows)
+
+
+class TestCalibrationMatchesReference:
+    @pytest.mark.parametrize("scored", [
+        [(("I10",), 0.5, ("I10",)), (("E119",), 0.01, ("A00",)), (("A00", "A00"), 1.0, ("A00",))],
+        [((), 0.01, ()), (("I10",), 0.01, ())],
+        [(("I10", "W19"), 0.37, ("W19",))],
+    ], ids=["on_grid_thresholds", "all_rejected_from_0.01", "single_record"])
+    def test_fixed_cases(self, scored):
+        assert calibration_curve(scored).rows == _reference_calibration(scored)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            CODES,
+            st.one_of(
+                st.integers(1, 100).map(lambda i: i / 100.0),
+                st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+            ),
+            CODES,
+        ),
+        min_size=1, max_size=30,
+    ))
+    def test_random_scored_pairs(self, scored):
+        assert calibration_curve(scored).rows == _reference_calibration(scored)
+
+
+class TestReadCalibration:
+    SCORED = [
+        (("I10",), 0.4, ("I10",)),
+        (("E119", "A00"), 0.9, ("A00",)),
+        ((), 0.55, ("W19",)),
+    ]
+    TEXT = format_calibration(calibration_curve(SCORED)) + "\n"
+
+    def _read(self, tmp_path, text):
+        path = tmp_path / "calibration.tsv"
+        path.write_text(text, encoding="utf-8")
+        return read_calibration(path)
+
+    def test_roundtrip(self, tmp_path):
+        def six(v):
+            return None if v is None else float(f"{v:.6f}")
+
+        rows = self._read(tmp_path, self.TEXT)
+        curve = calibration_curve(self.SCORED)
+        assert rows == [(r.threshold, six(r.fraction_rejected), six(r.f_accepted)) for r in curve.rows]
+        assert rows[0] == (0.0, 0.0, 0.666667) and rows[100] == (1.0, 1.0, None)
+
+    def test_every_line_boundary_rejected(self, tmp_path):
+        lines = self.TEXT.splitlines(keepends=True)
+        assert len(lines) == 102
+        for n in range(len(lines)):
+            with pytest.raises(ValidationError, match="calibration.tsv"):
+                self._read(tmp_path, "".join(lines[:n]))
+
+    def test_every_mid_line_cut_rejected(self, tmp_path):
+        # len(TEXT) - 1 would drop only the final newline, which still loads
+        for cut in range(len(self.TEXT) - 1):
+            if cut and self.TEXT[cut - 1] == "\n":
+                continue
+            with pytest.raises(ValidationError, match=r"calibration.tsv: (line|truncated)"):
+                self._read(tmp_path, self.TEXT[:cut])
+        assert len(self._read(tmp_path, self.TEXT[:-1])) == 101
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("0.50\t", "0.50\t0.3x", "line 52: bad fraction_rejected"),
+        ("\t0.666667\n", "\tnan\n", "line 2: bad f_accepted"),
+        ("0.20\t", "0.20\textra\t", "line 22: 4 fields"),
+        ("0.30\t", "0.30", "line 32: 2 fields"),
+        ("0.40\t", "0.41\t", "line 42: threshold"),
+        ("threshold\t", "thresh\t", "line 1: bad or missing header"),
+    ])
+    def test_malformed_line_named(self, tmp_path, old, new, where):
+        assert old in self.TEXT
+        with pytest.raises(ValidationError, match=where):
+            self._read(tmp_path, self.TEXT.replace(old, new, 1))
+
+    def test_extra_row_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="line 103"):
+            self._read(tmp_path, self.TEXT + "1.01\t1.000000\t\n")
 
 
 def _cert(cid, origin, bang=False):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medseq.config import atomic_open
 from medseq.errors import CorpusFormatError, ValidationError
 from medseq.records import (
     AGE_BUCKETS,
@@ -210,3 +213,37 @@ class TestCorpusIO:
         path = tmp_path_factory.mktemp("rt") / "c.tsv"
         write_corpus(certs, path)
         assert read_corpus(path) == certs
+
+
+class TestAtomicWrite:
+    def test_writer_failing_mid_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        write_corpus([make_cert("a")], path)
+        before = path.read_bytes()
+        # the second row is rejected after the header and first row are written
+        with pytest.raises(ValidationError, match="tab"):
+            write_corpus([make_cert("b"), make_cert("c", line1="bad\ttext")], path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["c.tsv"]
+
+    def test_failure_before_first_write_creates_nothing(self, tmp_path):
+        with pytest.raises(ValidationError):
+            write_corpus([make_cert(line1="bad\ttext")], tmp_path / "new.tsv")
+        assert os.listdir(tmp_path) == []
+
+    def test_clean_exit_replaces_with_normal_permissions(self, tmp_path):
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(b"x")
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with atomic_open(path, "wb") as fh:
+            fh.write(b"new")
+            assert path.read_bytes() == b"old"
+        assert path.read_bytes() == b"new"
+        assert sorted(os.listdir(tmp_path)) == ["out.bin", "plain.bin"]
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+
+    def test_mode_checked(self, tmp_path):
+        with pytest.raises(ValueError):
+            with atomic_open(tmp_path / "x", "a"):
+                pass

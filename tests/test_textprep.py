@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,12 @@ from medseq.textprep import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    RESERVED_TOKENS,
     UNK_ID,
+    WORD_END,
+    TokenizerModel,
+    _apply_merge,
+    _word_symbols,
     bpe_train,
     concat_backward,
     decode,
@@ -134,6 +141,74 @@ class TestBpeTrain:
         a = bpe_train(corpus, 40)
         b = bpe_train(corpus, 40)
         assert a.merges == b.merges and a.vocab == b.vocab
+
+
+def _reference_bpe_train(corpus: list[str], target_vocab_size: int) -> TokenizerModel:
+    """Full recount per merge: every pair of every word, then every word rebuilt."""
+    raw_freqs = Counter(word for line in corpus for word in line.split())
+    alphabet = sorted({ch for word in raw_freqs for ch in word} | {WORD_END})
+    vocab = {tok: i for i, tok in enumerate(RESERVED_TOKENS)}
+    for sym in alphabet:
+        vocab[sym] = len(vocab)
+    word_freqs = {_word_symbols(w): f for w, f in raw_freqs.items()}
+    merges = []
+    exhausted = False
+    while len(vocab) < target_vocab_size:
+        counts = Counter()
+        for symbols, freq in word_freqs.items():
+            for a, b in zip(symbols, symbols[1:]):
+                counts[(a, b)] += freq
+        best_freq = max(counts.values()) if counts else 0
+        if best_freq < 2:
+            exhausted = True
+            break
+        best = min(pair for pair, freq in counts.items() if freq == best_freq)
+        merges.append(best)
+        word_freqs = {_apply_merge(sym, best): f for sym, f in word_freqs.items()}
+        merged = best[0] + best[1]
+        if merged not in vocab:
+            vocab[merged] = len(vocab)
+    return TokenizerModel(merges=tuple(merges), vocab=vocab, exhausted=exhausted)
+
+
+class TestIncrementalMatchesReference:
+    """The incremental trainer gives the same tokenizer file as a full recount."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.sampled_from(["abc", "abcd"]).flatmap(
+            lambda alphabet: st.lists(
+                st.lists(st.text(alphabet=alphabet, min_size=1, max_size=9), max_size=6),
+                min_size=1, max_size=8,
+            )
+        ),
+        extra=st.integers(min_value=1, max_value=40),
+    )
+    def test_random_small_alphabet_corpora(self, data, extra):
+        corpus = [" ".join(words) for words in data]
+        if not any(corpus):
+            return
+        base = len(RESERVED_TOKENS) + len({ch for line in corpus for ch in line if ch != " "}) + 1
+        expected = _reference_bpe_train(corpus, base + extra)
+        assert tokenizer_dumps(bpe_train(corpus, base + extra)) == tokenizer_dumps(expected)
+
+    @pytest.mark.parametrize("corpus", [
+        ["aaaa aaaa aaa", "aa aaaaa"],
+        ["abab abab baba", "ab ba ab"],
+        ["abc bca cab abc", "cba"],
+    ])
+    def test_overlaps_and_ties_on_both_sides_of_exhaustion(self, corpus):
+        runs = [(bpe_train(corpus, v), _reference_bpe_train(corpus, v)) for v in range(9, 40)]
+        assert any(ref.exhausted for _, ref in runs) and not all(ref.exhausted for _, ref in runs)
+        for model, ref in runs:
+            assert tokenizer_dumps(model) == tokenizer_dumps(ref)
+
+    def test_toy_corpus(self, toy_data):
+        _, pairs, src_tok, tgt_tok = toy_data
+        src = _reference_bpe_train([p.source_text for p in pairs], 600)
+        tgt = _reference_bpe_train([" ".join(c.text for c in p.target_codes) for p in pairs], 500)
+        assert tokenizer_dumps(src_tok) == tokenizer_dumps(src)
+        assert tokenizer_dumps(tgt_tok) == tokenizer_dumps(tgt)
 
 
 class TestEncodeDecode:
