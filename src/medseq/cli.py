@@ -15,15 +15,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, atomic_open, file_sha256
+from .config import RunConfig, atomic_open, file_sha256, read_lines
 from .decoding import Prediction, predict_pairs, read_predictions, write_predictions
 from .ensemble import ensemble_predict, greedy_select, read_manifest, write_manifest
-from .errors import (
-    ConfigError,
-    CorpusFormatError,
-    MedseqError,
-    ValidationError,
-)
+from .errors import ConfigError, MedseqError, ValidationError
 from .metrics import (
     bootstrap_ci,
     calibration_curve,
@@ -43,12 +38,11 @@ from .textprep import (
     concat_backward,
     load_tokenizer,
     save_tokenizer,
-    tokenizer_fingerprint,
 )
 from .train import (
-    Checkpoint,
     SearchSpace,
     TrainConfig,
+    check_tokenizers,
     format_log,
     format_trial_table,
     init_model,
@@ -144,14 +138,6 @@ def _read_pairs(path: str):
 
 def _load_tokenizers(args: argparse.Namespace):
     return load_tokenizer(args.src_tok), load_tokenizer(args.tgt_tok)
-
-
-def _check_tokenizer_match(ckpt: Checkpoint, src_tok, tgt_tok, label: str) -> None:
-    if (
-        ckpt.src_tok_sha256 != tokenizer_fingerprint(src_tok)
-        or ckpt.tgt_tok_sha256 != tokenizer_fingerprint(tgt_tok)
-    ):
-        raise ValidationError(f"{label}: tokenizers do not match the checkpoint's fingerprints")
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +284,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     src_tok, tgt_tok = _load_tokenizers(args)
     ckpt = load_checkpoint(args.checkpoint)
-    _check_tokenizer_match(ckpt, src_tok, tgt_tok, "predict")
+    check_tokenizers([ckpt], src_tok, tgt_tok)
     model = model_from_checkpoint(ckpt)
     _, pairs = _read_pairs(args.corpus)
     preds = predict_pairs(
@@ -351,9 +337,13 @@ def _cmd_ensemble_predict(args: argparse.Namespace) -> int:
     src_tok, tgt_tok = _load_tokenizers(args)
     paths, hashes, _ = read_manifest(args.manifest)
     for p, h in zip(paths, hashes):
-        actual = file_sha256(p)
+        try:
+            actual = file_sha256(p)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise ValidationError(f"{args.manifest}: cannot read member {p!r}: {reason}") from None
         if actual != h:
-            raise ValidationError(f"ensemble member {p} changed on disk (hash mismatch)")
+            raise ValidationError(f"ensemble member {p!r} changed on disk (hash mismatch)")
     ckpts = [load_checkpoint(p) for p in paths]
     _, pairs = _read_pairs(args.corpus)
     preds = ensemble_predict(
@@ -380,10 +370,10 @@ def _aligned_pairs(
         raise ValidationError("duplicate record ids in predictions")
     missing = [c.id for c in certs if c.id not in by_id]
     if missing:
-        raise ValidationError(f"{len(missing)} corpus records lack predictions (first: {missing[0]})")
+        raise ValidationError(f"{len(missing)} corpus records lack predictions (first: {missing[0]!r})")
     extra = set(by_id) - {c.id for c in certs}
     if extra:
-        raise ValidationError(f"{len(extra)} predictions lack corpus records (first: {sorted(extra)[0]})")
+        raise ValidationError(f"{len(extra)} predictions lack corpus records (first: {sorted(extra)[0]!r})")
     pairs = []
     ordered_preds = []
     for cert in certs:
@@ -477,7 +467,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     sections = []
     kv_path = run_dir / "report.kv"
     if kv_path.exists():
-        sections.append("== metrics ==\n" + kv_path.read_text(encoding="utf-8").rstrip())
+        kv_lines = []
+        for line_no, line in read_lines(kv_path):
+            key, sep, _ = line.partition("=")
+            if not (key and sep):
+                raise ValidationError(f"{kv_path}: line {line_no}: expected key=value, got {line!r}")
+            kv_lines.append(line)
+        sections.append("== metrics ==\n" + "\n".join(kv_lines))
     cal_path = run_dir / "calibration.tsv"
     if cal_path.exists():
         best = None
@@ -596,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValidationError, ConfigError, CorpusFormatError) as exc:
+    except (ValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MedseqError as exc:

@@ -4,7 +4,9 @@ Sources merge in fixed precedence: built-in defaults, then the MEDSEQ_SEED
 environment fallback (applies to every *.seed key), then the config file,
 then --set overrides, then dedicated command flags.  Unknown keys are
 rejected so typos fail loudly.  The module also holds the file helpers that
-every artifact reader and writer shares.
+every artifact reader and writer shares: `read_text`/`read_lines`, which
+report bad input as ValidationError naming the path (and line), and
+`atomic_open`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 from contextlib import contextmanager
 from typing import IO, Iterator, Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 
 # key -> (type, default).  0 means "derived"/"disabled" where noted.
 _KEYS: dict[str, tuple[type, object]] = {
@@ -132,18 +134,20 @@ class RunConfig:
 
     def _load_file(self, path: str) -> None:
         try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.readlines()
+            lines = read_lines(path)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}")
-        for line_no, line in enumerate(lines, start=1):
+        for line_no, line in lines:
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             key, sep, raw = text.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {text!r}")
-            self.set_kv(key.strip(), raw)
+            try:
+                if not sep:
+                    raise ConfigError(f"expected key=value, got {text!r}")
+                self.set_kv(key.strip(), raw)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: line {line_no}: {exc}") from None
 
     def effective_text(self) -> str:
         """Canonical sorted key=value lines for echoing into run directories."""
@@ -151,6 +155,40 @@ class RunConfig:
 
     def sha256(self) -> str:
         return hashlib.sha256(self.effective_text().encode("utf-8")).hexdigest()
+
+
+def read_text(path) -> str:
+    """The whole file decoded as UTF-8.
+
+    Bad bytes raise ValidationError naming the path and the line of the first
+    one; a missing or unreadable file raises OSError.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(
+            f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} on line {line_no})"
+        ) from None
+
+
+def read_lines(path) -> list[tuple[int, str]]:
+    r"""(line number, line) for each non-empty line of a UTF-8 text file.
+
+    Lines end at "\n" only and lose one trailing "\r", so LF and CRLF files
+    read alike; blank lines are skipped but still counted.  (str.splitlines
+    would also split at form feeds, "\x85", "\u2028" and other characters a
+    field may hold.)
+    """
+    rows = []
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if line.endswith("\r"):
+            line = line[:-1]
+        if line:
+            rows.append((line_no, line))
+    return rows
 
 
 def file_sha256(path: str) -> str:

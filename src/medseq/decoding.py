@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import atomic_open
+from .config import atomic_open, read_lines
 from .errors import ValidationError
 from .textprep import BOS_ID, EOS_ID, PAD_ID, TokenizerModel, TrainingPair, token_is_word_final
 from .textprep import decode as decode_tokens
@@ -222,7 +222,7 @@ def predict_pairs(
         )
         for pair, hyps in zip(group, ranked):
             if not hyps:
-                raise ValidationError(f"record {pair.id}: beam search returned no hypothesis")
+                raise ValidationError(f"record {pair.id!r}: beam search returned no hypothesis")
             out.append(hyps[0])
     return out
 
@@ -236,19 +236,15 @@ def write_predictions(path: str, predictions: list[Prediction]) -> None:
 
 def read_predictions(path: str) -> list[Prediction]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValidationError(f"prediction file {path}: line {line_no} has {len(parts)} fields, want 3")
-            rid, codes_text, score_text = parts
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ValidationError(f"prediction file {path}: line {line_no}: bad score {score_text!r}")
-            codes = tuple(codes_text.split()) if codes_text else ()
-            out.append(Prediction(id=rid, codes=codes, score=score))
+    for line_no, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValidationError(f"{path}: line {line_no}: {len(parts)} fields, want 3")
+        rid, codes_text, score_text = parts
+        try:
+            out.append(Prediction(id=rid, codes=tuple(codes_text.split()), score=float(score_text)))
+        except (ValueError, ValidationError):  # not a number, or outside (0, 1]
+            raise ValidationError(
+                f"{path}: line {line_no}: bad score {score_text!r}, want a number in (0, 1]"
+            ) from None
     return out

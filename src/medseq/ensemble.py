@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import atomic_open
+from .config import atomic_open, read_lines
 from .decoding import DEFAULT_ALPHA, DEFAULT_BEAM_WIDTH, Prediction, predict_pairs
 from .errors import ValidationError
 from .metrics import f_measure, micro_metrics
-from .textprep import TokenizerModel, TrainingPair, tokenizer_fingerprint
-from .train import Checkpoint, checkpoint_sha256, model_from_checkpoint
+from .textprep import TokenizerModel, TrainingPair
+from .train import Checkpoint, check_tokenizers, checkpoint_sha256, model_from_checkpoint
 
 
 def consensus(candidates: Sequence[Prediction]) -> Prediction:
@@ -120,16 +120,6 @@ def greedy_select_predictions(
     return Ensemble(member_indices=tuple(selected), log=tuple(log))
 
 
-def _check_compatible(checkpoints: Sequence[Checkpoint], src_tok: TokenizerModel, tgt_tok: TokenizerModel) -> None:
-    src_sha = tokenizer_fingerprint(src_tok)
-    tgt_sha = tokenizer_fingerprint(tgt_tok)
-    for k, ckpt in enumerate(checkpoints):
-        if ckpt.src_tok_sha256 != src_sha or ckpt.tgt_tok_sha256 != tgt_sha:
-            raise ValidationError(
-                f"member {k} was trained with different tokenizers than the ones supplied"
-            )
-
-
 def greedy_select(
     checkpoints: Sequence[Checkpoint],
     src_tok: TokenizerModel,
@@ -146,7 +136,7 @@ def greedy_select(
     digests = [checkpoint_sha256(c) for c in checkpoints]
     if len(set(digests)) != len(digests):
         raise ValidationError("candidate pool contains duplicate checkpoints")
-    _check_compatible(checkpoints, src_tok, tgt_tok)
+    check_tokenizers(checkpoints, src_tok, tgt_tok)
     member_preds = []
     for ckpt in checkpoints:
         model = model_from_checkpoint(ckpt)
@@ -166,7 +156,7 @@ def ensemble_predict(
     """Consensus predictions of the given members on new records."""
     if not checkpoints:
         raise ValidationError("no member checkpoints")
-    _check_compatible(checkpoints, src_tok, tgt_tok)
+    check_tokenizers(checkpoints, src_tok, tgt_tok)
     member_preds = []
     for ckpt in checkpoints:
         model = model_from_checkpoint(ckpt)
@@ -188,27 +178,22 @@ def write_manifest(path: str, member_paths: Sequence[str], member_hashes: Sequen
 def read_manifest(path: str) -> tuple[list[str], list[str], Ensemble]:
     paths: list[str] = []
     hashes: list[str] = []
-    indices: list[int] = []
     steps: list[SelectionStep] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if parts[0] == "member" and len(parts) == 3:
-                paths.append(parts[1])
-                hashes.append(parts[2])
-            elif parts[0] == "step" and len(parts) == 3:
-                try:
-                    steps.append(SelectionStep(member_index=int(parts[1]), val_f=float(parts[2])))
-                except ValueError:
-                    raise ValidationError(
-                        f"manifest {path}: line {line_no}: bad step {parts[1]!r} or F {parts[2]!r}"
-                    ) from None
-            else:
-                raise ValidationError(f"manifest {path}: bad line {line_no}")
+    for line_no, line in read_lines(path):
+        parts = line.split("\t")
+        if parts[0] == "member" and len(parts) == 3:
+            paths.append(parts[1])
+            hashes.append(parts[2])
+        elif parts[0] == "step" and len(parts) == 3:
+            try:
+                steps.append(SelectionStep(member_index=int(parts[1]), val_f=float(parts[2])))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {line_no}: bad step {parts[1]!r} or F {parts[2]!r}"
+                ) from None
+        else:
+            raise ValidationError(f"{path}: line {line_no}: want member or step with 3 fields")
     indices = [s.member_index for s in steps]
     if len(indices) != len(paths):
-        raise ValidationError(f"manifest {path}: {len(paths)} members but {len(indices)} selection steps")
+        raise ValidationError(f"{path}: {len(paths)} members but {len(indices)} selection steps")
     return paths, hashes, Ensemble(member_indices=tuple(indices), log=tuple(steps))

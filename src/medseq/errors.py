@@ -1,7 +1,12 @@
 """Exception taxonomy shared by all medseq modules.
 
 CLI exit-code mapping: ValidationError/ConfigError -> 2, any other
-MedseqError -> 3 (argparse usage errors exit 1 on their own).
+MedseqError -> 3 (argparse usage errors exit 1 on their own).  Every text
+artifact is read through config.read_text/read_lines, so a file that is not
+UTF-8 raises ValidationError("<path>: not UTF-8 text ..."), and a malformed
+line raises ValidationError (CorpusFormatError for the corpus, ConfigError
+for a --config file) with the message "<path>: line <n>: <what>".  The CLI
+prints it as one "error: ..." line on stderr.
 """
 
 
@@ -18,19 +23,7 @@ class ConfigError(MedseqError):
 
 
 class CorpusFormatError(ValidationError):
-    """Corpus file violation, carrying the offending line and field."""
-
-    def __init__(self, message: str, line_no: int | None = None, field: str | None = None):
-        self.line_no = line_no
-        self.field = field
-        where = []
-        if line_no is not None:
-            where.append(f"line {line_no}")
-        if field is not None:
-            where.append(f"field {field!r}")
-        if where:
-            message = f"{message} ({', '.join(where)})"
-        super().__init__(message)
+    """Corpus file violation; the message names the path and the line."""
 
 
 class ShapeError(MedseqError):

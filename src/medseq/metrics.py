@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import read_lines
 from .errors import ValidationError
 from .records import ALL_CHAPTERS, Certificate, Icd10Code, ORIGIN_PAPER, chapter_of
 
@@ -338,14 +339,10 @@ def read_calibration(path) -> list[tuple[float, float, float | None]]:
     field count, an unparsable or out-of-range number, or a missing row
     (a cut file) raises ValidationError naming the path and the line.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError:
-        raise ValidationError(f"calibration file {path}: not UTF-8 text") from None
-    if not lines or lines[0] != _CALIBRATION_HEADER:
-        raise ValidationError(f"calibration file {path}: line 1: bad or missing header")
+    lines = read_lines(path)
+    header_no, header = lines[0] if lines else (1, "")
+    if header != _CALIBRATION_HEADER:
+        raise ValidationError(f"{path}: line {header_no}: bad or missing header")
 
     def number(text: str, line_no: int, name: str) -> float:
         try:
@@ -353,22 +350,17 @@ def read_calibration(path) -> list[tuple[float, float, float | None]]:
         except ValueError:
             value = None
         if value is None or not 0.0 <= value <= 1.0:
-            raise ValidationError(f"calibration file {path}: line {line_no}: bad {name} {text!r}")
+            raise ValidationError(f"{path}: line {line_no}: bad {name} {text!r}")
         return value
 
     rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for i, (line_no, line) in enumerate(lines[1:]):
         fields = line.split("\t")
         if len(fields) != 3:
-            raise ValidationError(
-                f"calibration file {path}: line {line_no}: {len(fields)} fields, want 3"
-            )
+            raise ValidationError(f"{path}: line {line_no}: {len(fields)} fields, want 3")
         thr_text, frac_text, f_text = fields
-        i = line_no - 2
         if i > 100 or thr_text != f"{i / 100.0:.2f}":
-            raise ValidationError(
-                f"calibration file {path}: line {line_no}: threshold {thr_text!r} is off the grid"
-            )
+            raise ValidationError(f"{path}: line {line_no}: threshold {thr_text!r} is off the grid")
         rows.append((
             i / 100.0,
             number(frac_text, line_no, "fraction_rejected"),
@@ -376,6 +368,6 @@ def read_calibration(path) -> list[tuple[float, float, float | None]]:
         ))
     if len(rows) != 101:
         raise ValidationError(
-            f"calibration file {path}: truncated after line {len(lines)} ({len(rows)} of 101 rows)"
+            f"{path}: truncated after line {lines[-1][0]} ({len(rows)} of 101 rows)"
         )
     return rows

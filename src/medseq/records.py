@@ -12,7 +12,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .config import atomic_open
+from .config import atomic_open, read_lines
 from .errors import ConfigError, CorpusFormatError, ValidationError
 
 N_LINES = 6
@@ -81,13 +81,13 @@ class Certificate:
     def __post_init__(self):
         if len(self.lines) != N_LINES or len(self.gold_code_lines) != N_LINES:
             raise ValidationError(
-                f"certificate {self.id}: expected {N_LINES} line slots, "
+                f"certificate {self.id!r}: expected {N_LINES} line slots, "
                 f"got {len(self.lines)} text / {len(self.gold_code_lines)} code"
             )
         if not any(line for line in self.lines):
-            raise ValidationError(f"certificate {self.id}: no nonempty text line")
+            raise ValidationError(f"certificate {self.id!r}: no nonempty text line")
         if self.raw_age_days < 0:
-            raise ValidationError(f"certificate {self.id}: negative age")
+            raise ValidationError(f"certificate {self.id!r}: negative age")
 
     def all_codes(self) -> list[Icd10Code]:
         """Gold codes flattened in line order 1..6."""
@@ -170,26 +170,19 @@ def age_bucket_of(raw_age_days: int) -> int:
     return 3 + (years - 5) // 5
 
 
-def encode_side_variables(
-    raw_age_days: int,
-    gender: int,
-    year: int,
-    origin: int,
-    year_min: int = YEAR_MIN,
-    n_years: int = N_YEARS,
-) -> SideVariables:
+def encode_side_variables(raw_age_days: int, gender: int, year: int, origin: int) -> SideVariables:
     """Encode raw demographic values as category indices.
 
-    `year` is a calendar year inside the configured range; the index is its
-    offset from `year_min`.
+    `year` is a calendar year in [YEAR_MIN, YEAR_MIN + N_YEARS); the index is
+    its offset from YEAR_MIN.
     """
-    if not year_min <= year < year_min + n_years:
+    if not YEAR_MIN <= year < YEAR_MIN + N_YEARS:
         raise ConfigError(
-            f"year {year} outside configured range [{year_min},{year_min + n_years - 1}]"
+            f"year {year} outside configured range [{YEAR_MIN},{YEAR_MIN + N_YEARS - 1}]"
         )
     return SideVariables(
         gender=gender,
-        year=year - year_min,
+        year=year - YEAR_MIN,
         age_bucket=age_bucket_of(raw_age_days),
         origin=origin,
     )
@@ -202,7 +195,7 @@ _HEADER = (
 )
 
 
-def write_corpus(certs: list[Certificate], path, year_min: int = YEAR_MIN) -> None:
+def write_corpus(certs: list[Certificate], path) -> None:
     """Write certificates as UTF-8 TSV, one row per certificate."""
     with atomic_open(path) as fh:
         fh.write("\t".join(_HEADER) + "\n")
@@ -210,7 +203,7 @@ def write_corpus(certs: list[Certificate], path, year_min: int = YEAR_MIN) -> No
             cells = [
                 cert.id,
                 str(cert.side.gender),
-                str(cert.side.year + year_min),
+                str(cert.side.year + YEAR_MIN),
                 str(cert.raw_age_days),
                 str(cert.side.origin),
             ]
@@ -223,59 +216,44 @@ def write_corpus(certs: list[Certificate], path, year_min: int = YEAR_MIN) -> No
             fh.write("\t".join(cells) + "\n")
 
 
-def read_corpus(path, year_min: int = YEAR_MIN, n_years: int = N_YEARS) -> list[Certificate]:
+def read_corpus(path) -> list[Certificate]:
     """Read a corpus TSV; inverse of write_corpus on the in-memory records."""
+    rows = read_lines(path)
+    header_no, header = rows[0] if rows else (1, "")
+    if header.split("\t") != _HEADER:
+        raise CorpusFormatError(f"{path}: line {header_no}: bad or missing header row")
     certs: list[Certificate] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise CorpusFormatError("empty corpus file", line_no=1)
-        if header_line.rstrip("\r\n").split("\t") != _HEADER:
-            raise CorpusFormatError("bad or missing header row", line_no=1)
-        for line_no, raw in enumerate(fh, start=2):
-            row = raw.rstrip("\r\n")
-            if not row:
-                continue
-            cells = row.split("\t")
-            if len(cells) != len(_HEADER):
-                raise CorpusFormatError(
-                    f"expected {len(_HEADER)} columns, got {len(cells)}", line_no=line_no
-                )
-            cert_id = cells[0]
-            if cert_id in seen_ids:
-                raise CorpusFormatError(f"duplicate id {cert_id!r}", line_no=line_no, field="id")
-            seen_ids.add(cert_id)
-            try:
-                gender = int(cells[1])
-                year = int(cells[2])
-                age_days = int(cells[3])
-                origin = int(cells[4])
-            except ValueError as exc:
-                raise CorpusFormatError(str(exc), line_no=line_no, field="side variables") from exc
-            lines = tuple(cells[5 + i] or None for i in range(N_LINES))
-            code_lines = []
-            for i in range(N_LINES):
-                cell = cells[5 + N_LINES + i]
-                try:
-                    code_lines.append(tuple(Icd10Code(tok) for tok in cell.split()) if cell else ())
-                except ValidationError as exc:
-                    raise CorpusFormatError(
-                        str(exc), line_no=line_no, field=f"line{i + 1}_codes"
-                    ) from exc
-            try:
-                side = encode_side_variables(
-                    age_days, gender, year, origin, year_min=year_min, n_years=n_years
-                )
-                certs.append(
-                    Certificate(
-                        id=cert_id,
-                        lines=lines,
-                        side=side,
-                        gold_code_lines=tuple(code_lines),
-                        raw_age_days=age_days,
-                    )
-                )
-            except (ValidationError, ConfigError) as exc:
-                raise CorpusFormatError(str(exc), line_no=line_no) from exc
+    for line_no, row in rows[1:]:
+        try:
+            certs.append(_parse_row(row.split("\t"), seen_ids))
+        except (ValidationError, ConfigError) as exc:
+            raise CorpusFormatError(f"{path}: line {line_no}: {exc}") from None
     return certs
+
+
+def _parse_row(cells: list[str], seen_ids: set[str]) -> Certificate:
+    if len(cells) != len(_HEADER):
+        raise ValidationError(f"expected {len(_HEADER)} columns, got {len(cells)}")
+    cert_id = cells[0]
+    if cert_id in seen_ids:
+        raise ValidationError(f"duplicate id {cert_id!r}")
+    seen_ids.add(cert_id)
+    try:
+        gender, year, age_days, origin = (int(cell) for cell in cells[1:5])
+    except ValueError as exc:
+        raise ValidationError(f"side variables: {exc}") from None
+    code_lines = []
+    for i in range(N_LINES):
+        cell = cells[5 + N_LINES + i]
+        try:
+            code_lines.append(tuple(Icd10Code(tok) for tok in cell.split()))
+        except ValidationError as exc:
+            raise ValidationError(f"line{i + 1}_codes: {exc}") from None
+    return Certificate(
+        id=cert_id,
+        lines=tuple(cells[5 + i] or None for i in range(N_LINES)),
+        side=encode_side_variables(age_days, gender, year, origin),
+        gold_code_lines=tuple(code_lines),
+        raw_age_days=age_days,
+    )

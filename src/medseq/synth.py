@@ -105,7 +105,6 @@ class GeneratorConfig:
     p_paper_origin: float = 0.90
     p_bang_given_paper: float = 0.10
     p_misalign: float = 0.02
-    max_codes_per_cert: int = MAX_CODES_PER_CERT
     # probabilities over total line counts 1..6, skewed toward 2-3 lines
     line_count_distribution: tuple[float, ...] = (0.18, 0.34, 0.26, 0.12, 0.06, 0.04)
 
@@ -114,8 +113,6 @@ class GeneratorConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name}={p} outside [0,1]")
-        if self.max_codes_per_cert != MAX_CODES_PER_CERT:
-            raise ConfigError(f"max_codes_per_cert is fixed at {MAX_CODES_PER_CERT}")
         dist = self.line_count_distribution
         if len(dist) != N_LINES or any(p < 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-9:
             raise ConfigError("line_count_distribution must be 6 nonnegative values summing to 1")
@@ -351,7 +348,7 @@ def _generate_one(
     n_lines = rng.choices(range(1, N_LINES + 1), weights=config.line_count_distribution)[0]
     indices = _line_indices(rng, n_lines)
 
-    budget = config.max_codes_per_cert
+    budget = MAX_CODES_PER_CERT
     line_segments: dict[int, list[_Segment]] = {}
     for line_no in indices:
         want = rng.choices((1, 2, 3, 4), weights=_PHRASES_PER_LINE_WEIGHTS)[0]

@@ -14,7 +14,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .config import atomic_open
+from .config import atomic_open, read_text
 from .errors import ConfigError, ValidationError
 from .records import Certificate, Icd10Code, N_LINES, SideVariables
 
@@ -273,35 +273,33 @@ def tokenizer_loads(text: str) -> TokenizerModel:
     ValidationError naming the line."""
     lines = text.splitlines()
     if not lines or lines[0] != _FORMAT_HEADER:
-        raise ValidationError("not a medseq tokenizer file")
+        raise ValidationError("line 1: not a medseq tokenizer file")
 
     def header(index: int, key: str) -> str:
         if index >= len(lines):
-            raise ValidationError(f"tokenizer file truncated: line {index + 1} ({key!r} header) missing")
+            raise ValidationError(f"line {index + 1}: {key!r} header missing (file truncated)")
         name, _, value = lines[index].partition(" ")
         if name != key:
-            raise ValidationError(f"tokenizer file line {index + 1}: expected {key!r} header")
+            raise ValidationError(f"line {index + 1}: expected {key!r} header")
         return value
 
     def count(index: int, key: str) -> int:
         value = header(index, key)
         if not (value.isascii() and value.isdigit()):
-            raise ValidationError(f"tokenizer file line {index + 1}: bad {key} count {value!r}")
+            raise ValidationError(f"line {index + 1}: bad {key} count {value!r}")
         return int(value)
 
     def entries(first: int, n: int, section: str) -> list[tuple[str, str]]:
         if len(lines) < first + n:
             raise ValidationError(
-                f"tokenizer file truncated: {section} header says {n} lines, "
+                f"file truncated: {section} header says {n} lines, "
                 f"{max(0, len(lines) - first)} present"
             )
         out = []
         for index in range(first, first + n):
             fields = lines[index].split("\t")
             if len(fields) != 2:
-                raise ValidationError(
-                    f"tokenizer file line {index + 1}: {len(fields)} fields, want 2"
-                )
+                raise ValidationError(f"line {index + 1}: {len(fields)} fields, want 2")
             out.append((fields[0], fields[1]))
         return out
 
@@ -311,15 +309,15 @@ def tokenizer_loads(text: str) -> TokenizerModel:
         except ValueError:
             value = None
         if not isinstance(value, str):
-            raise ValidationError(f"tokenizer file line {index + 1}: bad token {raw!r}")
+            raise ValidationError(f"line {index + 1}: bad token {raw!r}")
         return value
 
     vocab_size = count(1, "vocab_size")
     exhausted = header(2, "exhausted")
     if exhausted not in ("0", "1"):
-        raise ValidationError(f"tokenizer file line 3: bad exhausted flag {exhausted!r}")
+        raise ValidationError(f"line 3: bad exhausted flag {exhausted!r}")
     if header(3, "reserved") != " ".join(RESERVED_TOKENS):
-        raise ValidationError("tokenizer file line 4: unexpected reserved tokens")
+        raise ValidationError("line 4: unexpected reserved tokens")
     n_merges = count(4, "merges")
     merges = [
         (token(left, 5 + i), token(right, 5 + i))
@@ -328,17 +326,17 @@ def tokenizer_loads(text: str) -> TokenizerModel:
     vocab_at = 5 + n_merges
     n_vocab = count(vocab_at, "vocab")
     if n_vocab != vocab_size:
-        raise ValidationError(f"tokenizer file: vocab_size {vocab_size} but {n_vocab} vocab entries")
+        raise ValidationError(f"line {vocab_at + 1}: {n_vocab} vocab entries, but vocab_size {vocab_size}")
     vocab: dict[str, int] = {}
     for i, (raw, idx) in enumerate(entries(vocab_at + 1, n_vocab, "vocab")):
         if idx != str(i):
             # ids are dense and written in order, so a cut id cannot pass
-            raise ValidationError(f"tokenizer file line {vocab_at + 2 + i}: id {idx!r}, want {i}")
+            raise ValidationError(f"line {vocab_at + 2 + i}: id {idx!r}, want {i}")
         vocab[token(raw, vocab_at + 1 + i)] = i
     if len(vocab) != vocab_size:
-        raise ValidationError(f"tokenizer file: duplicate vocab tokens ({len(vocab)} distinct of {vocab_size})")
+        raise ValidationError(f"duplicate vocab tokens ({len(vocab)} distinct of {vocab_size})")
     if len(lines) > vocab_at + 1 + n_vocab:
-        raise ValidationError(f"tokenizer file line {vocab_at + 2 + n_vocab}: unexpected trailing line")
+        raise ValidationError(f"line {vocab_at + 2 + n_vocab}: unexpected trailing line")
     return TokenizerModel(merges=tuple(merges), vocab=vocab, exhausted=exhausted == "1")
 
 
@@ -348,12 +346,9 @@ def save_tokenizer(model: TokenizerModel, path) -> None:
 
 
 def load_tokenizer(path) -> TokenizerModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    text = read_text(path)
     try:
-        return tokenizer_loads(data.decode("utf-8"))
-    except UnicodeDecodeError:
-        raise ValidationError(f"tokenizer file {path}: not UTF-8 text") from None
+        return tokenizer_loads(text)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

@@ -16,6 +16,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -423,11 +424,30 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
-        return checkpoint_from_bytes(fh.read())
+        data = fh.read()
+    try:
+        return checkpoint_from_bytes(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def checkpoint_sha256(ckpt: Checkpoint) -> str:
     return hashlib.sha256(checkpoint_bytes(ckpt)).hexdigest()
+
+
+def check_tokenizers(
+    checkpoints: Sequence[Checkpoint],
+    src_tok: TokenizerModel,
+    tgt_tok: TokenizerModel,
+) -> None:
+    """Raise ValidationError unless every checkpoint was trained with these tokenizers."""
+    src_sha = tokenizer_fingerprint(src_tok)
+    tgt_sha = tokenizer_fingerprint(tgt_tok)
+    for k, ckpt in enumerate(checkpoints):
+        if ckpt.src_tok_sha256 != src_sha or ckpt.tgt_tok_sha256 != tgt_sha:
+            raise ValidationError(
+                f"checkpoint {k} was trained with different tokenizers than the ones supplied"
+            )
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> TransformerModel:

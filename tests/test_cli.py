@@ -1,10 +1,16 @@
 """Command-line interface: full pipeline, exit codes, provenance, rerun identity."""
 
+import contextlib
 import hashlib
+import io
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medseq.cli import main
 from medseq.decoding import read_predictions
@@ -307,6 +313,74 @@ class TestExitCodes:
             assert len(err) == 1 and "calibration.tsv" in err[0], name
             assert not (run_dir / "summary.txt").exists()
 
+    def test_non_utf8_input_exits_two(self, pipeline, tmp_path, capsys):
+        """Each input, ending in byte 0xff: exit 2 and one stderr line naming it."""
+        def spoiled(name, data):
+            path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(data + b"\xff")
+            return str(path)
+
+        test_tsv = Path(pipeline["test_tsv"])
+        predictions = pipeline["pred"] / "predictions.tsv"
+        tokenizers = ["--src-tok", pipeline["src_tok"], "--tgt-tok", pipeline["tgt_tok"]]
+        cases = [
+            (spoiled("test.tsv", test_tsv.read_bytes()),
+             lambda bad: ["evaluate", "--predictions", str(predictions), "--corpus", bad]),
+            (spoiled("predictions.tsv", predictions.read_bytes()),
+             lambda bad: ["evaluate", "--predictions", bad, "--corpus", str(test_tsv)]),
+            (spoiled("kv/report.kv", (pipeline["eval"] / "report.kv").read_bytes()),
+             lambda bad: ["report", "--dir", str(Path(bad).parent)]),
+            (spoiled("run.cfg", b"synth.n_records=5\n"),
+             lambda bad: ["gen-data", "--config", bad]),
+            (spoiled("ensemble.manifest", (pipeline["ens"] / "ensemble.manifest").read_bytes()),
+             lambda bad: ["ensemble-predict", "--manifest", bad, "--corpus", str(test_tsv)] + tokenizers),
+        ]
+        for bad, argv in cases:
+            capsys.readouterr()
+            assert main(argv(bad) + ["--out-dir", str(tmp_path / "out")]) == 2, bad
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and bad in err[0] and "not UTF-8" in err[0], bad
+
+    def test_report_kv_line_without_equals_exits_two(self, pipeline, tmp_path, capsys):
+        text = (pipeline["eval"] / "report.kv").read_text(encoding="utf-8")
+        (tmp_path / "report.kv").write_text(text + "not a key value pair\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--dir", str(tmp_path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        line_no = text.count("\n") + 1
+        assert len(err) == 1 and f"report.kv: line {line_no}: expected key=value" in err[0]
+        assert not (tmp_path / "summary.txt").exists()
+
+    def test_unreadable_manifest_member_exits_two(self, pipeline, tmp_path, capsys):
+        text = (pipeline["ens"] / "ensemble.manifest").read_text(encoding="utf-8")
+        member = text.split("\t")[1]
+        for name, path in (("absent", member + ".gone"), ("nul", member.replace("/", "\0", 1))):
+            manifest = tmp_path / f"{name}.manifest"
+            manifest.write_text(text.replace(member, path, 1), encoding="utf-8")
+            capsys.readouterr()
+            code = main([
+                "ensemble-predict", "--manifest", str(manifest), "--corpus", pipeline["test_tsv"],
+                "--src-tok", pipeline["src_tok"], "--tgt-tok", pipeline["tgt_tok"],
+                "--out-dir", str(tmp_path / "out"),
+            ])
+            assert code == 2, name
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and f"{manifest}: cannot read member" in err[0], name
+
+    def test_control_character_in_id_stays_on_one_line(self, pipeline, tmp_path, capsys):
+        rows = Path(pipeline["test_tsv"]).read_text(encoding="utf-8").split("\n")
+        rows[1] = "\x0c" + rows[1]
+        corpus = tmp_path / "test.tsv"
+        corpus.write_text("\n".join(rows), encoding="utf-8")
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--predictions", str(pipeline["pred"] / "predictions.tsv"),
+            "--corpus", str(corpus), "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     def test_missing_file_exits_three(self, tmp_path):
         assert main([
             "split", "--corpus", str(tmp_path / "absent.tsv"), "--out-dir", str(tmp_path),
@@ -320,6 +394,64 @@ class TestExitCodes:
             main(["--version"])
         assert e.value.code == 0
         assert capsys.readouterr().out.startswith("medseq ")
+
+
+# artifact -> (pipeline directory holding it, the subcommand that reads it).
+# "{bad}" is the damaged copy, "{dir}" the copied directory holding it.
+_FUZZ_TARGETS = {
+    "test.tsv": ("split", [
+        "evaluate", "--predictions", "{pred}/predictions.tsv", "--corpus", "{bad}",
+        "--set", "eval.bootstrap_b=10",
+    ]),
+    "predictions.tsv": ("pred", [
+        "evaluate", "--predictions", "{bad}", "--corpus", "{test_tsv}",
+        "--set", "eval.bootstrap_b=10",
+    ]),
+    "ensemble.manifest": ("ens", [
+        "ensemble-predict", "--manifest", "{bad}", "--corpus", "{test_tsv}",
+        "--src-tok", "{src_tok}", "--tgt-tok", "{tgt_tok}", "--set", "decode.beam_width=2",
+    ]),
+    "calibration.tsv": ("eval", ["report", "--dir", "{dir}"]),
+    "report.kv": ("eval", ["report", "--dir", "{dir}"]),
+    "src.tok": ("tok", [
+        "predict", "--checkpoint", "{ckpt}", "--corpus", "{test_tsv}",
+        "--src-tok", "{bad}", "--tgt-tok", "{tgt_tok}", "--beam-width", "2",
+    ]),
+    "checkpoint.bin": ("run", [
+        "predict", "--checkpoint", "{bad}", "--corpus", "{test_tsv}",
+        "--src-tok", "{src_tok}", "--tgt-tok", "{tgt_tok}", "--beam-width", "2",
+    ]),
+}
+
+
+class TestDamagedArtifacts:
+    """Every artifact the pipeline writes, cut short or with one byte flipped,
+    is read with exit 0, or exit 2 and one stderr line; never a traceback."""
+
+    @pytest.mark.parametrize("artifact", sorted(_FUZZ_TARGETS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_cut_or_flipped_artifact(self, pipeline, tmp_path_factory, artifact, data):
+        key, argv = _FUZZ_TARGETS[artifact]
+        work = tmp_path_factory.mktemp("damaged")
+        shutil.copytree(pipeline[key], work / "in")
+        bad = work / "in" / artifact
+        raw = bytearray(bad.read_bytes())
+        offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        if data.draw(st.booleans(), label="flip"):
+            raw[offset] ^= data.draw(st.integers(1, 255), label="xor")
+        else:
+            del raw[offset:]
+        bad.write_bytes(bytes(raw))
+        fields = {name: str(value) for name, value in pipeline.items()}
+        args = [a.format(bad=bad, dir=work / "in", **fields) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args + ["--out-dir", str(work / "out")])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestInstalledEntryPoint:

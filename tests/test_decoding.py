@@ -333,7 +333,7 @@ class TestPredictionFiles:
         # must fail validation on read rather than silently passing through.
         path = tmp_path / "zero.tsv"
         path.write_text("r\tI10\t0.000000\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"zero\.tsv: line 1: bad score '0\.000000'"):
             read_predictions(str(path))
 
     def test_blank_lines_and_crlf_tolerated(self, tmp_path):

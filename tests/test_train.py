@@ -180,6 +180,12 @@ class TestCheckpoint:
         back = load_checkpoint(path)
         assert checkpoint_sha256(back) == checkpoint_sha256(ckpt)
 
+    def test_file_error_names_path(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(checkpoint_bytes(_small_checkpoint())[:-1])
+        with pytest.raises(ValidationError, match=r"model\.bin: checkpoint checksum mismatch"):
+            load_checkpoint(str(path))
+
     def test_corrupted_byte_detected(self):
         blob = bytearray(checkpoint_bytes(_small_checkpoint()))
         blob[len(blob) // 2] ^= 0xFF
