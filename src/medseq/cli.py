@@ -4,19 +4,29 @@ predict, ensemble, evaluate, calibrate, report.
 Every artifact-producing subcommand writes its outputs plus an
 effective-config echo (with input file hashes) into --out-dir, and is
 deterministic given identical inputs and seeds.  Exit codes: 1 usage,
-2 validation/config, 3 runtime (including training divergence).
+2 validation/config, 3 runtime (missing input files, training divergence).
+
+Settings are flat dotted keys, resolved in increasing precedence: defaults,
+MEDSEQ_SEED (every *.seed key), --config FILE, --set KEY=VALUE, then the
+command's flags.  The model.*, train.* and synth.* keys are the scalar fields
+of ModelConfig, TrainConfig and GeneratorConfig; 0 means derived/off for
+train.batch_size and train.val_limit.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
+import os
 import sys
-from dataclasses import replace
+import typing
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, atomic_open, file_sha256, read_lines
-from .decoding import Prediction, predict_pairs, read_predictions, write_predictions
+from .config import atomic_open, file_sha256, read_lines
+from .decoding import DEFAULT_ALPHA, DEFAULT_BEAM_WIDTH, Prediction, predict_pairs
+from .decoding import read_predictions, write_predictions
 from .ensemble import ensemble_predict, greedy_select, read_manifest, write_manifest
 from .errors import ConfigError, MedseqError, ValidationError
 from .metrics import (
@@ -54,6 +64,157 @@ from .train import (
 )
 from .transformer import ModelConfig
 
+# ----------------------------------------------------------------------
+# Run configuration
+# ----------------------------------------------------------------------
+
+
+def _field_keys(cls, section: str) -> dict[str, tuple[type, object]]:
+    """`section.<field>` -> (type, default) for each scalar-default field of `cls`.
+
+    A None default ("derived"/"off") is spelled 0.  Fields without a default
+    and tuple fields are not keys.
+    """
+    hints = typing.get_type_hints(cls)
+    keys = {}
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING or isinstance(f.default, tuple):
+            continue
+        hint = hints[f.name]
+        kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+        keys[f"{section}.{f.name}"] = (kind, 0 if f.default is None else f.default)
+    return keys
+
+
+# key -> (type, default)
+_KEYS: dict[str, tuple[type, object]] = {
+    "synth.n_records": (int, 2000),
+    "synth.seed": (int, 0),
+    **_field_keys(GeneratorConfig, "synth"),
+    "split.val_per_year": (int, 50),
+    "split.test_per_year": (int, 50),
+    "split.seed": (int, 0),
+    "tokenize.src_vocab": (int, 2033),
+    "tokenize.tgt_vocab": (int, 500),
+    **_field_keys(ModelConfig, "model"),
+    "model.seed": (int, 0),
+    **_field_keys(TrainConfig, "train"),
+    "search.n_trials": (int, 3),
+    "search.hidden_min": (int, 256),
+    "search.hidden_max": (int, 512),
+    "search.dropout_min": (float, 0.0),
+    "search.dropout_max": (float, 0.2),
+    "search.seed": (int, 0),
+    "decode.beam_width": (int, DEFAULT_BEAM_WIDTH),
+    "decode.alpha": (float, DEFAULT_ALPHA),
+    "eval.bootstrap_b": (int, 1000),
+    "eval.bootstrap_level": (float, 0.95),
+    "eval.bootstrap_seed": (int, 0),
+}
+
+# subcommand -> {flag: the keys it sets}.  Flags beat --set.
+_FLAGS: dict[str, dict[str, tuple[str, ...]]] = {
+    "gen-data": {"--n": ("synth.n_records",), "--seed": ("synth.seed",)},
+    "split": {
+        "--val-per-year": ("split.val_per_year",),
+        "--test-per-year": ("split.test_per_year",),
+        "--seed": ("split.seed",),
+    },
+    "tokenize": {"--src-vocab": ("tokenize.src_vocab",), "--tgt-vocab": ("tokenize.tgt_vocab",)},
+    "train": {"--max-steps": ("train.max_steps",), "--seed": ("train.seed", "model.seed")},
+    "search": {"--trials": ("search.n_trials",), "--seed": ("search.seed",)},
+    "predict": {"--beam-width": ("decode.beam_width",), "--alpha": ("decode.alpha",)},
+}
+_FLAG_HELP = {"--n": "number of certificates"}
+
+SEED_ENV_VAR = "MEDSEQ_SEED"
+
+
+class RunConfig:
+    """Typed view over the merged key-value configuration.
+
+    Sources merge in fixed precedence: built-in defaults, then the MEDSEQ_SEED
+    environment fallback (applies to every *.seed key), then the config file,
+    then --set overrides; `_load_cfg` applies the command's flags last.
+    Unknown keys are rejected so typos fail loudly.
+    """
+
+    def __init__(self) -> None:
+        self._values: dict[str, object] = {k: d for k, (_, d) in _KEYS.items()}
+
+    def set_kv(self, key: str, raw: str) -> None:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        kind, _ = _KEYS[key]
+        raw = raw.strip()
+        try:
+            self._values[key] = kind(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind.__name__}") from None
+
+    def get(self, key: str):
+        return self._values[key]
+
+    @classmethod
+    def load(
+        cls,
+        config_path: str | None = None,
+        overrides: list[str] | None = None,
+        env: typing.Mapping[str, str] | None = None,
+    ) -> "RunConfig":
+        cfg = cls()
+        env = os.environ if env is None else env
+        if SEED_ENV_VAR in env:
+            try:
+                seed = int(env[SEED_ENV_VAR])
+            except ValueError:
+                raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env[SEED_ENV_VAR]!r}")
+            for key in _KEYS:
+                if key.endswith(".seed"):
+                    cfg._values[key] = seed
+        if config_path:
+            cfg._load_file(config_path)
+        for item in overrides or []:
+            key, sep, raw = item.partition("=")
+            if not sep:
+                raise ConfigError(f"--set expects key=value, got {item!r}")
+            cfg.set_kv(key.strip(), raw)
+        return cfg
+
+    def _load_file(self, path: str) -> None:
+        for line_no, line in read_lines(path):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            key, sep, raw = text.partition("=")
+            try:
+                if not sep:
+                    raise ConfigError(f"expected key=value, got {text!r}")
+                self.set_kv(key.strip(), raw)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: line {line_no}: {exc}") from None
+
+    def effective_text(self) -> str:
+        """Canonical sorted key=value lines for echoing into run directories."""
+        return "\n".join(f"{k}={self._values[k]}" for k in sorted(self._values)) + "\n"
+
+    def sha256(self) -> str:
+        return hashlib.sha256(self.effective_text().encode("utf-8")).hexdigest()
+
+
+def _build(cls, cfg: RunConfig, section: str, **given):
+    """`cls` from its `section.*` keys, plus the fields in `given`.
+
+    0 becomes None for the fields whose default is None ("derived"/"off"),
+    so any other value, negative ones too, meets the dataclass's own check.
+    """
+    for f in dataclasses.fields(cls):
+        key = f"{section}.{f.name}"
+        if f.name not in given and key in _KEYS:
+            value = cfg.get(key)
+            given[f.name] = None if value == 0 and f.default is None else value
+    return cls(**given)
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is exit 1."""
@@ -73,7 +234,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _load_cfg(args: argparse.Namespace) -> RunConfig:
-    return RunConfig.load(config_path=args.config, overrides=args.set)
+    cfg = RunConfig.load(config_path=args.config, overrides=args.set)
+    for flag, keys in _FLAGS.get(args.command, {}).items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            for key in keys:
+                cfg.set_kv(key, str(value))
+    return cfg
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -96,41 +263,6 @@ def _write_provenance(out: Path, cfg: RunConfig, inputs: dict[str, str]) -> None
     _write_text(out / "effective-config.txt", text)
 
 
-def _model_config(cfg: RunConfig, src_vocab: int, tgt_vocab: int) -> ModelConfig:
-    return ModelConfig(
-        src_vocab_size=src_vocab,
-        tgt_vocab_size=tgt_vocab,
-        hidden_size=cfg.get_int("model.hidden_size"),
-        n_layers_enc=cfg.get_int("model.n_layers_enc"),
-        n_layers_dec=cfg.get_int("model.n_layers_dec"),
-        n_heads=cfg.get_int("model.n_heads"),
-        ffn_size=cfg.get_int("model.ffn_size"),
-        layer_postprocess_dropout=cfg.get_float("model.layer_postprocess_dropout"),
-        attention_dropout=cfg.get_float("model.attention_dropout"),
-        relu_dropout=cfg.get_float("model.relu_dropout"),
-        max_src_len=cfg.get_int("model.max_src_len"),
-        max_tgt_len=cfg.get_int("model.max_tgt_len"),
-        label_smoothing=cfg.get_float("model.label_smoothing"),
-        dtype=cfg.get_str("model.dtype"),
-    )
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    batch = cfg.get_int("train.batch_size")
-    val_limit = cfg.get_int("train.val_limit")
-    return TrainConfig(
-        learning_rate_factor=cfg.get_float("train.learning_rate_factor"),
-        warmup_steps=cfg.get_int("train.warmup_steps"),
-        max_steps=cfg.get_int("train.max_steps"),
-        batch_size=batch if batch > 0 else None,
-        seed=cfg.get_int("train.seed"),
-        eval_every=cfg.get_int("train.eval_every"),
-        early_stop_patience=cfg.get_int("train.early_stop_patience"),
-        log_every=cfg.get_int("train.log_every"),
-        val_limit=val_limit if val_limit > 0 else None,
-    )
-
-
 def _read_pairs(path: str):
     certs = read_corpus(path)
     return certs, [concat_backward(c) for c in certs]
@@ -147,20 +279,9 @@ def _load_tokenizers(args: argparse.Namespace):
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    if args.n is not None:
-        cfg.set_typed("synth.n_records", args.n)
-    if args.seed is not None:
-        cfg.set_typed("synth.seed", args.seed)
     out = _out_dir(args)
-    seed = cfg.get_int("synth.seed")
-    gen = GeneratorConfig(
-        n_records=cfg.get_int("synth.n_records"),
-        seed=seed,
-        p_paper_origin=cfg.get_float("synth.p_paper_origin"),
-        p_bang_given_paper=cfg.get_float("synth.p_bang_given_paper"),
-        p_misalign=cfg.get_float("synth.p_misalign"),
-    )
-    certs = generate_corpus(gen, build_default_lexicon(seed))
+    gen = _build(GeneratorConfig, cfg, "synth")
+    certs = generate_corpus(gen, build_default_lexicon(gen.seed))
     write_corpus(certs, out / "corpus.tsv")
     _write_provenance(out, cfg, {})
     print(f"wrote {len(certs)} certificates to {out / 'corpus.tsv'}")
@@ -169,19 +290,13 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _cmd_split(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    if args.val_per_year is not None:
-        cfg.set_typed("split.val_per_year", args.val_per_year)
-    if args.test_per_year is not None:
-        cfg.set_typed("split.test_per_year", args.test_per_year)
-    if args.seed is not None:
-        cfg.set_typed("split.seed", args.seed)
     out = _out_dir(args)
     certs = read_corpus(args.corpus)
     train_set, val_set, test_set = split_corpus(
         certs,
-        per_year_val=cfg.get_int("split.val_per_year"),
-        per_year_test=cfg.get_int("split.test_per_year"),
-        seed=cfg.get_int("split.seed"),
+        per_year_val=cfg.get("split.val_per_year"),
+        per_year_test=cfg.get("split.test_per_year"),
+        seed=cfg.get("split.seed"),
     )
     write_corpus(train_set, out / "train.tsv")
     write_corpus(val_set, out / "val.tsv")
@@ -193,16 +308,12 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_tokenize(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    if args.src_vocab is not None:
-        cfg.set_typed("tokenize.src_vocab", args.src_vocab)
-    if args.tgt_vocab is not None:
-        cfg.set_typed("tokenize.tgt_vocab", args.tgt_vocab)
     out = _out_dir(args)
     _, pairs = _read_pairs(args.corpus)
-    src_tok = bpe_train([p.source_text for p in pairs], cfg.get_int("tokenize.src_vocab"))
+    src_tok = bpe_train([p.source_text for p in pairs], cfg.get("tokenize.src_vocab"))
     tgt_tok = bpe_train(
         [" ".join(c.text for c in p.target_codes) for p in pairs],
-        cfg.get_int("tokenize.tgt_vocab"),
+        cfg.get("tokenize.tgt_vocab"),
     )
     save_tokenizer(src_tok, out / "src.tok")
     save_tokenizer(tgt_tok, out / "tgt.tok")
@@ -216,18 +327,15 @@ def _cmd_tokenize(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    if args.max_steps is not None:
-        cfg.set_typed("train.max_steps", args.max_steps)
-    if args.seed is not None:
-        cfg.set_typed("train.seed", args.seed)
-        cfg.set_typed("model.seed", args.seed)
     out = _out_dir(args)
     src_tok, tgt_tok = _load_tokenizers(args)
     _, train_pairs = _read_pairs(args.train)
     _, val_pairs = _read_pairs(args.val)
-    model_cfg = _model_config(cfg, src_tok.size, tgt_tok.size)
-    train_cfg = _train_config(cfg)
-    model = init_model(model_cfg, seed=cfg.get_int("model.seed"))
+    model_cfg = _build(
+        ModelConfig, cfg, "model", src_vocab_size=src_tok.size, tgt_vocab_size=tgt_tok.size
+    )
+    train_cfg = _build(TrainConfig, cfg, "train")
+    model = init_model(model_cfg, seed=cfg.get("model.seed"))
     result = train(model, train_pairs, val_pairs, src_tok, tgt_tok, train_cfg)
     save_checkpoint(result.checkpoint, out / "checkpoint.bin")
     _write_text(out / "train.log", "\n".join(format_log(result.log)) + "\n")
@@ -242,28 +350,24 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    if args.trials is not None:
-        cfg.set_typed("search.n_trials", args.trials)
-    if args.seed is not None:
-        cfg.set_typed("search.seed", args.seed)
     out = _out_dir(args)
     src_tok, tgt_tok = _load_tokenizers(args)
     _, train_pairs = _read_pairs(args.train)
     _, val_pairs = _read_pairs(args.val)
     space = SearchSpace(
-        hidden_range=(cfg.get_int("search.hidden_min"), cfg.get_int("search.hidden_max")),
-        dropout_range=(cfg.get_float("search.dropout_min"), cfg.get_float("search.dropout_max")),
-        n_trials=cfg.get_int("search.n_trials"),
+        hidden_range=(cfg.get("search.hidden_min"), cfg.get("search.hidden_max")),
+        dropout_range=(cfg.get("search.dropout_min"), cfg.get("search.dropout_max")),
+        n_trials=cfg.get("search.n_trials"),
     )
     results = random_search(
         space,
-        _model_config(cfg, src_tok.size, tgt_tok.size),
-        _train_config(cfg),
+        _build(ModelConfig, cfg, "model", src_vocab_size=src_tok.size, tgt_vocab_size=tgt_tok.size),
+        _build(TrainConfig, cfg, "train"),
         train_pairs,
         val_pairs,
         src_tok,
         tgt_tok,
-        seed=cfg.get_int("search.seed"),
+        seed=cfg.get("search.seed"),
     )
     _write_text(out / "trials.tsv", format_trial_table(results) + "\n")
     save_checkpoint(results[0].checkpoint, out / "best-checkpoint.bin")
@@ -277,10 +381,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    if args.beam_width is not None:
-        cfg.set_typed("decode.beam_width", args.beam_width)
-    if args.alpha is not None:
-        cfg.set_typed("decode.alpha", args.alpha)
     out = _out_dir(args)
     src_tok, tgt_tok = _load_tokenizers(args)
     ckpt = load_checkpoint(args.checkpoint)
@@ -289,8 +389,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     _, pairs = _read_pairs(args.corpus)
     preds = predict_pairs(
         model, src_tok, tgt_tok, pairs,
-        beam_width=cfg.get_int("decode.beam_width"),
-        alpha=cfg.get_float("decode.alpha"),
+        beam_width=cfg.get("decode.beam_width"),
+        alpha=cfg.get("decode.alpha"),
     )
     write_predictions(out / "predictions.tsv", preds)
     _write_provenance(
@@ -315,8 +415,8 @@ def _cmd_ensemble_select(args: argparse.Namespace) -> int:
     _, val_pairs = _read_pairs(args.val)
     ens = greedy_select(
         ckpts, src_tok, tgt_tok, val_pairs,
-        beam_width=cfg.get_int("decode.beam_width"),
-        alpha=cfg.get_float("decode.alpha"),
+        beam_width=cfg.get("decode.beam_width"),
+        alpha=cfg.get("decode.alpha"),
     )
     selected_paths = [paths[i] for i in ens.member_indices]
     selected_hashes = [file_sha256(p) for p in selected_paths]
@@ -348,8 +448,8 @@ def _cmd_ensemble_predict(args: argparse.Namespace) -> int:
     _, pairs = _read_pairs(args.corpus)
     preds = ensemble_predict(
         ckpts, src_tok, tgt_tok, pairs,
-        beam_width=cfg.get_int("decode.beam_width"),
-        alpha=cfg.get_float("decode.alpha"),
+        beam_width=cfg.get("decode.beam_width"),
+        alpha=cfg.get("decode.alpha"),
     )
     write_predictions(out / "predictions.tsv", preds)
     _write_provenance(
@@ -409,11 +509,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     overall = micro_metrics(pairs)
     ci = bootstrap_ci(
         pairs,
-        b=cfg.get_int("eval.bootstrap_b"),
-        level=cfg.get_float("eval.bootstrap_level"),
-        seed=cfg.get_int("eval.bootstrap_seed"),
+        b=cfg.get("eval.bootstrap_b"),
+        level=cfg.get("eval.bootstrap_level"),
+        seed=cfg.get("eval.bootstrap_seed"),
     )
-    overall = replace(overall, ci=ci)
+    overall = dataclasses.replace(overall, ci=ci)
 
     strata_reports = []
     for stratum in ("origin", "contains_bang"):
@@ -500,90 +600,65 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"medseq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic corpus")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="number of certificates")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_gen_data)
+    def command(name: str, func, summary: str) -> _Parser:
+        p = sub.add_parser(name, help=summary)
+        _add_common(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("split", help="per-year stratified train/val/test split")
-    _add_common(p)
+    command("gen-data", _cmd_gen_data, "generate a synthetic corpus")
+
+    p = command("split", _cmd_split, "per-year stratified train/val/test split")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--val-per-year", type=int)
-    p.add_argument("--test-per-year", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("tokenize", help="learn source and target BPE tokenizers")
-    _add_common(p)
+    p = command("tokenize", _cmd_tokenize, "learn source and target BPE tokenizers")
     p.add_argument("--corpus", required=True, help="training split")
-    p.add_argument("--src-vocab", type=int)
-    p.add_argument("--tgt-vocab", type=int)
-    p.set_defaults(func=_cmd_tokenize)
 
-    p = sub.add_parser("train", help="train one model")
-    _add_common(p)
+    p = command("train", _cmd_train, "train one model")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--src-tok", required=True)
     p.add_argument("--tgt-tok", required=True)
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("search", help="random hyperparameter search")
-    _add_common(p)
+    p = command("search", _cmd_search, "random hyperparameter search")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--src-tok", required=True)
     p.add_argument("--tgt-tok", required=True)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("predict", help="beam-decode a corpus with one checkpoint")
-    _add_common(p)
+    p = command("predict", _cmd_predict, "beam-decode a corpus with one checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--src-tok", required=True)
     p.add_argument("--tgt-tok", required=True)
-    p.add_argument("--beam-width", type=int)
-    p.add_argument("--alpha", type=float)
-    p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("ensemble-select", help="greedy consensus member selection")
-    _add_common(p)
+    p = command("ensemble-select", _cmd_ensemble_select, "greedy consensus member selection")
     p.add_argument("--checkpoints", required=True, help="comma-separated checkpoint paths")
     p.add_argument("--val", required=True)
     p.add_argument("--src-tok", required=True)
     p.add_argument("--tgt-tok", required=True)
-    p.set_defaults(func=_cmd_ensemble_select)
 
-    p = sub.add_parser("ensemble-predict", help="consensus predictions from a manifest")
-    _add_common(p)
+    p = command("ensemble-predict", _cmd_ensemble_predict, "consensus predictions from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--src-tok", required=True)
     p.add_argument("--tgt-tok", required=True)
-    p.set_defaults(func=_cmd_ensemble_predict)
 
-    p = sub.add_parser("evaluate", help="micro metrics, CIs, strata, chapters")
-    _add_common(p)
+    p = command("evaluate", _cmd_evaluate, "micro metrics, CIs, strata, chapters")
     p.add_argument("--predictions", required=True)
     p.add_argument("--corpus", required=True)
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("calibrate", help="score-threshold rejection curve")
-    _add_common(p)
+    p = command("calibrate", _cmd_calibrate, "score-threshold rejection curve")
     p.add_argument("--predictions", required=True)
     p.add_argument("--corpus", required=True)
-    p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("report", help="summarize a run directory")
-    _add_common(p)
+    p = command("report", _cmd_report, "summarize a run directory")
     p.add_argument("--dir", required=True, help="directory holding evaluate/calibrate outputs")
-    p.set_defaults(func=_cmd_report)
 
+    for name, flags in _FLAGS.items():
+        for flag, keys in flags.items():
+            kind, _ = _KEYS[keys[0]]
+            sub.choices[name].add_argument(flag, type=kind, help=_FLAG_HELP.get(flag))
     return parser
 
 

@@ -86,7 +86,7 @@ def _tiny_batch(cfg: ModelConfig, seed: int = 1):
 
 
 def _pipeline(n_records: int, corpus_seed: int, val_py: int, test_py: int,
-              steps_a: int, steps_bc: int, batch: int, val_limit: int):
+              steps_a: int, steps_bc: int, batch: int | None, val_limit: int):
     """Generate, split, tokenize and train three models; decode the test set."""
     t0 = time.time()
     lexicon = build_default_lexicon(seed=0)
@@ -263,7 +263,7 @@ def test_criterion_06_end_to_end_bounded_variant(e2e):
 def test_criterion_06_end_to_end_full_scale():
     t0 = time.time()
     r = _pipeline(n_records=50_000, corpus_seed=0, val_py=50, test_py=50,
-                  steps_a=5000, steps_bc=3000, batch=0, val_limit=100)
+                  steps_a=5000, steps_bc=3000, batch=None, val_limit=100)
     assert r.f_single >= 0.90
     assert r.f_ensemble >= r.f_single - 0.001
     vals = [s.val_f for s in r.selection.log]

@@ -1,5 +1,6 @@
 """Command-line interface: full pipeline, exit codes, provenance, rerun identity."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medseq import cli
 from medseq.cli import main
 from medseq.decoding import read_predictions
 from medseq.records import read_corpus
@@ -385,6 +387,23 @@ class TestExitCodes:
         assert main([
             "split", "--corpus", str(tmp_path / "absent.tsv"), "--out-dir", str(tmp_path),
         ]) == 3
+        assert main([
+            "gen-data", "--config", str(tmp_path / "absent.cfg"), "--out-dir", str(tmp_path),
+        ]) == 3
+
+    @pytest.mark.parametrize("key", ["train.batch_size", "train.val_limit"])
+    def test_derived_or_off_key_rejects_negative(self, pipeline, tmp_path, capsys, key):
+        """0 means derived/off; a negative value is an error, not another 0."""
+        argv = [
+            "train", "--train", pipeline["test_tsv"], "--val", pipeline["test_tsv"],
+            "--src-tok", pipeline["src_tok"], "--tgt-tok", pipeline["tgt_tok"],
+            "--max-steps", "1", "--out-dir", str(tmp_path),
+        ]
+        assert main(argv + ["--set", f"{key}=0"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--set", f"{key}=-3"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "got -3" in err[0], err
 
     def test_empty_report_dir_exits_two(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path), "--out-dir", str(tmp_path)]) == 2
@@ -394,6 +413,81 @@ class TestExitCodes:
             main(["--version"])
         assert e.value.code == 0
         assert capsys.readouterr().out.startswith("medseq ")
+
+
+# subcommand -> {flag: the config keys it sets}
+FLAG_KEYS = {
+    "gen-data": {"--n": ("synth.n_records",), "--seed": ("synth.seed",)},
+    "split": {
+        "--val-per-year": ("split.val_per_year",),
+        "--test-per-year": ("split.test_per_year",),
+        "--seed": ("split.seed",),
+    },
+    "tokenize": {"--src-vocab": ("tokenize.src_vocab",), "--tgt-vocab": ("tokenize.tgt_vocab",)},
+    "train": {"--max-steps": ("train.max_steps",), "--seed": ("train.seed", "model.seed")},
+    "search": {"--trials": ("search.n_trials",), "--seed": ("search.seed",)},
+    "predict": {"--beam-width": ("decode.beam_width",), "--alpha": ("decode.alpha",)},
+}
+_COMMON = {"-h", "--help", "--config", "--set", "--out-dir"}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_flag_table_lists_every_flag():
+    flags = {}
+    for name, sub in _subparsers().items():
+        found = {
+            opt for a in sub._actions if not a.required for opt in a.option_strings
+        } - _COMMON
+        if found:
+            flags[name] = found
+    assert flags == {name: set(table) for name, table in FLAG_KEYS.items()}
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c, table in FLAG_KEYS.items() for f in table],
+    ids=lambda x: x,
+)
+def test_flag_sets_exactly_its_keys_over_set(command, flag, monkeypatch):
+    """`<cmd> <flag> <value> --set <key>=<other>` leaves <key>=<value> and
+    every other key at its default."""
+    monkeypatch.delenv("MEDSEQ_SEED", raising=False)
+    loaded = []
+    real_load = cli.RunConfig.load
+
+    def load(*args, **kwargs):
+        loaded.append(real_load(*args, **kwargs))
+        return loaded[-1]
+
+    def stop(args):
+        raise _Stop  # the flags are applied by now; the inputs are never read
+
+    monkeypatch.setattr(cli.RunConfig, "load", staticmethod(load))
+    monkeypatch.setattr(cli, "_out_dir", stop)
+    keys = FLAG_KEYS[command][flag]
+    default = cli.RunConfig().effective_text().splitlines()
+    was = dict(line.split("=", 1) for line in default)[keys[0]]
+    value, other = ("0.25", "0.75") if "." in was else ("7", "9")  # float or int key
+    required = [
+        arg for a in _subparsers()[command]._actions if a.required
+        for arg in (a.option_strings[0], "unread")
+    ]
+    argv = [command, *required, flag, value]
+    for key in keys:
+        argv += ["--set", f"{key}={other}"]
+    with pytest.raises(_Stop):
+        main(argv)
+    (cfg,) = loaded
+    changed = set(cfg.effective_text().splitlines()) - set(default)
+    assert changed == {f"{key}={value}" for key in keys}
 
 
 # artifact -> (pipeline directory holding it, the subcommand that reads it).

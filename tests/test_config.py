@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from medseq.config import RunConfig, read_lines, read_text
+from medseq.cli import RunConfig
+from medseq.config import read_lines, read_text
 from medseq.decoding import Prediction, read_predictions, write_predictions
 from medseq.ensemble import Ensemble, SelectionStep, read_manifest, write_manifest
 from medseq.errors import ConfigError, ValidationError
@@ -132,6 +133,59 @@ def test_config_file_bad_value_names_line(tmp_path):
     path.write_text("synth.seed=1\n\nsynth.n_records=many\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: line 3: config key synth\.n_records"):
         RunConfig.load(config_path=str(path), env={})
+
+
+DEFAULT_CONFIG = """\
+decode.alpha=0.6
+decode.beam_width=4
+eval.bootstrap_b=1000
+eval.bootstrap_level=0.95
+eval.bootstrap_seed=0
+model.attention_dropout=0.1
+model.dtype=float32
+model.ffn_size=256
+model.hidden_size=64
+model.label_smoothing=0.1
+model.layer_postprocess_dropout=0.1
+model.max_src_len=128
+model.max_tgt_len=21
+model.n_heads=4
+model.n_layers_dec=2
+model.n_layers_enc=2
+model.relu_dropout=0.1
+model.seed=0
+search.dropout_max=0.2
+search.dropout_min=0.0
+search.hidden_max=512
+search.hidden_min=256
+search.n_trials=3
+search.seed=0
+split.seed=0
+split.test_per_year=50
+split.val_per_year=50
+synth.n_records=2000
+synth.p_bang_given_paper=0.1
+synth.p_misalign=0.02
+synth.p_paper_origin=0.9
+synth.seed=0
+tokenize.src_vocab=2033
+tokenize.tgt_vocab=500
+train.batch_size=0
+train.early_stop_patience=0
+train.eval_every=200
+train.learning_rate_factor=2.0
+train.log_every=50
+train.max_steps=2000
+train.seed=0
+train.val_limit=0
+train.warmup_steps=400
+"""
+
+
+def test_default_config_text():
+    """Every key with its default, as effective-config.txt records it."""
+    assert DEFAULT_CONFIG.count("\n") == 43
+    assert RunConfig.load(env={}).effective_text() == DEFAULT_CONFIG
 
 
 # Only these modules may open files: config.py holds the shared text readers,
