@@ -127,6 +127,13 @@ _FLAGS: dict[str, dict[str, tuple[str, ...]]] = {
 }
 _FLAG_HELP = {"--n": "number of certificates"}
 
+# `search` draws these for each trial, so a value given for one would be ignored.
+_SEARCH_SAMPLED = (
+    "model.hidden_size", "model.ffn_size", "model.layer_postprocess_dropout",
+    "model.attention_dropout", "model.relu_dropout",
+    "train.learning_rate_factor", "train.batch_size",
+)
+
 SEED_ENV_VAR = "MEDSEQ_SEED"
 
 
@@ -350,6 +357,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
+    for key in _SEARCH_SAMPLED:
+        if cfg.get(key) != _KEYS[key][1]:
+            raise ConfigError(f"{key} is drawn for each search trial and cannot be set (got {cfg.get(key)})")
     out = _out_dir(args)
     src_tok, tgt_tok = _load_tokenizers(args)
     _, train_pairs = _read_pairs(args.train)

@@ -84,18 +84,6 @@ def micro_metrics(pairs: Sequence[Pair], stratum: str = "overall") -> MetricRepo
     return _report_from_counts(tp, fp, fn, len(pairs), stratum)
 
 
-def _metric_triple(tp: float, fp: float, fn: float) -> tuple[float, float, float]:
-    p = tp / (tp + fp) if tp + fp > 0 else np.nan
-    r = tp / (tp + fn) if tp + fn > 0 else np.nan
-    if tp + fp + fn == 0:
-        f = 1.0
-    elif tp == 0:
-        f = 0.0
-    else:
-        f = 2.0 * tp / (2.0 * tp + fp + fn)
-    return p, r, f
-
-
 def bootstrap_ci(
     pairs: Sequence[Pair],
     b: int = 1000,
@@ -118,7 +106,11 @@ def bootstrap_ci(
     for i in range(b):
         idx = rng.integers(0, n, size=n)
         tp, fp, fn = counts[idx].sum(axis=0)
-        stats[i] = _metric_triple(tp, fp, fn)
+        stats[i] = (
+            tp / (tp + fp) if tp + fp > 0 else np.nan,  # NaN: undefined in this resample
+            tp / (tp + fn) if tp + fn > 0 else np.nan,
+            f_from_counts(tp, fp, fn),
+        )
     lo_q, hi_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0
     out = {}
     for j, name in enumerate(("precision", "recall", "f_measure")):

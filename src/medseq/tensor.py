@@ -270,14 +270,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _record(table.data[ids], (table,), (back,))
 
 
-class DropoutSource:
-    """Supplies multiplicative dropout masks (inverted scaling baked in)."""
-
-    def mask(self, shape: tuple[int, ...], p: float, dtype: np.dtype) -> np.ndarray:
-        raise NotImplementedError
-
-
-class GeneratorDropout(DropoutSource):
+class GeneratorDropout:
     """Dropout masks drawn from one numpy generator (or a seed for one)."""
 
     def __init__(self, rng: np.random.Generator | int | Sequence[int]) -> None:
@@ -291,7 +284,7 @@ class GeneratorDropout(DropoutSource):
 
 
 def keep_mask(
-    shape: tuple[int, ...], p: float, train: bool, source: DropoutSource | None, dtype: np.dtype
+    shape: tuple[int, ...], p: float, train: bool, source: GeneratorDropout | None, dtype: np.dtype
 ) -> np.ndarray | None:
     """The multiplicative mask of dropout at rate ``p``; None when it is off."""
     if not 0.0 <= p < 1.0:
@@ -303,7 +296,7 @@ def keep_mask(
     return source.mask(shape, p, dtype)
 
 
-def dropout(x: Tensor, p: float, train: bool, source: DropoutSource | None = None) -> Tensor:
+def dropout(x: Tensor, p: float, train: bool, source: GeneratorDropout | None = None) -> Tensor:
     m = keep_mask(x.shape, p, train, source, x.dtype)
     if m is None:
         return x

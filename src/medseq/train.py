@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -111,26 +111,23 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: OptimizerState,
     rate: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
 ) -> None:
     """One in-place Adam update with bias correction."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient for {name}: {g.shape} vs parameter {p.data.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -276,12 +273,14 @@ _CODE_DTYPES = {b"f4": "<f4", b"f8": "<f8"}
 
 @dataclass
 class Checkpoint:
-    """Versioned single-file container; save -> load -> save is byte-identical."""
+    """Versioned single-file container; save -> load -> save is byte-identical.
+
+    It holds what inference reads, plus the step the parameters were taken
+    at.  No optimizer state is kept, so training cannot resume from it.
+    """
 
     model_config: ModelConfig
     params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
     opt_step: int = 0
     src_tok_sha256: str = ""
     tgt_tok_sha256: str = ""
@@ -300,14 +299,7 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         header_lines.append(f"log.{i}={json.dumps(line)}")
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
 
-    tensors: dict[str, np.ndarray] = {}
-    for name, arr in ckpt.params.items():
-        tensors[f"param.{name}"] = arr
-    for name, arr in ckpt.adam_m.items():
-        tensors[f"adam.m.{name}"] = arr
-    for name, arr in ckpt.adam_v.items():
-        tensors[f"adam.v.{name}"] = arr
-
+    tensors = {f"param.{name}": arr for name, arr in ckpt.params.items()}
     parts = [_CKPT_MAGIC, _CKPT_VERSION, struct.pack("<I", len(header)), header]
     parts.append(struct.pack("<I", len(tensors)))
     for name in sorted(tensors):
@@ -382,8 +374,6 @@ def _parse_checkpoint(body: bytes) -> Checkpoint:
 
     (n_tensors,) = struct.unpack("<I", take(4))
     params: dict[str, np.ndarray] = {}
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<H", take(2))
         name = take(name_len).decode("utf-8")
@@ -396,11 +386,7 @@ def _parse_checkpoint(body: bytes) -> Checkpoint:
         arr = np.frombuffer(take(nbytes), dtype=_CODE_DTYPES[code]).reshape(shape).copy()
         if name.startswith("param."):
             params[name[len("param."):]] = arr
-        elif name.startswith("adam.m."):
-            adam_m[name[len("adam.m."):]] = arr
-        elif name.startswith("adam.v."):
-            adam_v[name[len("adam.v."):]] = arr
-        else:
+        elif not name.startswith(("adam.m.", "adam.v.")):  # older files carried Adam moments
             raise ValidationError(f"unknown checkpoint tensor {name!r}")
     if pos != len(view):
         raise ValidationError("checkpoint has trailing bytes")
@@ -408,8 +394,6 @@ def _parse_checkpoint(body: bytes) -> Checkpoint:
     return Checkpoint(
         model_config=ModelConfig.from_dict(model_cfg),
         params=params,
-        adam_m=adam_m,
-        adam_v=adam_v,
         opt_step=opt_step,
         src_tok_sha256=src_sha,
         tgt_tok_sha256=tgt_sha,
@@ -481,11 +465,8 @@ class TrainResult:
     best_step: int
 
 
-def _snapshot(model: TransformerModel, state: OptimizerState) -> tuple[dict, dict, dict, int]:
-    params = {k: p.data.copy() for k, p in model.parameters.items()}
-    m = {k: a.copy() for k, a in state.m.items()}
-    v = {k: a.copy() for k, a in state.v.items()}
-    return params, m, v, state.step
+def _snapshot(model: TransformerModel, state: OptimizerState) -> tuple[dict, int]:
+    return {k: p.data.copy() for k, p in model.parameters.items()}, state.step
 
 
 def train(
@@ -511,7 +492,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     state = OptimizerState.for_params(model.parameters)
     log: list[LogEntry] = []
-    best: tuple[dict, dict, dict, int] | None = None
+    best: tuple[dict, int] | None = None
     best_f: float | None = None
     best_step = 0
     evals_since_best = 0
@@ -556,13 +537,11 @@ def train(
     if best is None:
         best = _snapshot(model, state)
         best_step = step
-    params, m, v, opt_step = best
+    params, opt_step = best
     tail = tuple(format_log(log)[-50:])
     ckpt = Checkpoint(
         model_config=cfg,
         params=params,
-        adam_m=m,
-        adam_v=v,
         opt_step=opt_step,
         src_tok_sha256=tokenizer_fingerprint(src_tok),
         tgt_tok_sha256=tokenizer_fingerprint(tgt_tok),

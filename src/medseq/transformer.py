@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .tensor import (
-    DropoutSource,
+    GeneratorDropout,
     Tensor,
     add,
     attention,
@@ -239,7 +239,7 @@ def _attend(
     bias: np.ndarray | None,
     cfg: ModelConfig,
     train: bool,
-    source: DropoutSource | None,
+    source: GeneratorDropout | None,
 ) -> Tensor:
     """softmax(q kᵀ / sqrt(d) + bias) v over split heads, merged and projected by wo.
 
@@ -262,7 +262,7 @@ def _attention(
     bias: np.ndarray,
     cfg: ModelConfig,
     train: bool,
-    source: DropoutSource | None,
+    source: GeneratorDropout | None,
 ) -> Tensor:
     q = _project(params, f"{prefix}.wq", x_q, cfg)
     k = _project(params, f"{prefix}.wk", x_kv, cfg)
@@ -276,7 +276,7 @@ def _ffn(
     x: Tensor,
     cfg: ModelConfig,
     train: bool,
-    source: DropoutSource | None,
+    source: GeneratorDropout | None,
 ) -> Tensor:
     h = relu(add(matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
     h = dropout(h, cfg.relu_dropout, train, source)
@@ -292,7 +292,7 @@ def embed_source(
     src_ids: np.ndarray,
     side_idx: np.ndarray,
     train: bool = False,
-    source: DropoutSource | None = None,
+    source: GeneratorDropout | None = None,
 ) -> Tensor:
     """Token embedding * sqrt(h) + positions + broadcast side-variable sum.
 
@@ -322,7 +322,7 @@ def encode_source(
     src_ids: np.ndarray,
     side_idx: np.ndarray,
     train: bool = False,
-    source: DropoutSource | None = None,
+    source: GeneratorDropout | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Run the encoder stack; returns (memory, source padding bias)."""
     cfg = model.config
@@ -358,7 +358,7 @@ def decode_logits(
     src_bias: np.ndarray,
     tgt_in_ids: np.ndarray,
     train: bool = False,
-    source: DropoutSource | None = None,
+    source: GeneratorDropout | None = None,
 ) -> Tensor:
     """Decoder stack over a (batch, len) target prefix; returns logits.
 
@@ -374,7 +374,7 @@ def _decoder_states(
     src_bias: np.ndarray,
     tgt_in_ids: np.ndarray,
     train: bool,
-    source: DropoutSource | None,
+    source: GeneratorDropout | None,
 ) -> Tensor:
     """The decoder layers' (batch, len, h) output, before the final norm."""
     cfg = model.config
@@ -494,7 +494,7 @@ def forward(
     side_idx: np.ndarray,
     tgt_in_ids: np.ndarray,
     train: bool = False,
-    source: DropoutSource | None = None,
+    source: GeneratorDropout | None = None,
 ) -> Tensor:
     memory, src_bias = encode_source(model, src_ids, side_idx, train, source)
     return decode_logits(model, memory, src_bias, tgt_in_ids, train, source)
@@ -506,8 +506,7 @@ def sequence_loss(
     side_idx: np.ndarray,
     tgt_ids: np.ndarray,
     train: bool = False,
-    source: DropoutSource | None = None,
-    label_smoothing: float | None = None,
+    source: GeneratorDropout | None = None,
 ) -> Tensor:
     """Teacher-forced mean cross-entropy over non-PAD target tokens.
 
@@ -520,7 +519,6 @@ def sequence_loss(
     if tgt_ids.shape[1] < 2:
         raise ValidationError("target rows need at least BOS and one more token")
     cfg = model.config
-    eps = cfg.label_smoothing if label_smoothing is None else label_smoothing
     dec_in = tgt_ids[:, :-1]
     targets = tgt_ids[:, 1:].reshape(-1)
     memory, src_bias = encode_source(model, src_ids, side_idx, train, source)
@@ -530,4 +528,4 @@ def sequence_loss(
     kept = np.flatnonzero(targets != PAD_ID)
     rows = embedding_lookup(reshape(states, (targets.size, cfg.hidden_size)), kept)
     logits = _output_logits(model.parameters, rows)
-    return cross_entropy(logits, targets[kept], label_smoothing=eps)
+    return cross_entropy(logits, targets[kept], label_smoothing=cfg.label_smoothing)

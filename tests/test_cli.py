@@ -237,6 +237,36 @@ class TestExitCodes:
             "--set", "no.such.key=1",
         ]) == 2
 
+    @staticmethod
+    def _tiny_search(pipeline, out):
+        split = pipeline["split"]
+        return [
+            "search", "--train", str(split / "train.tsv"), "--val", str(split / "val.tsv"),
+            "--src-tok", pipeline["src_tok"], "--tgt-tok", pipeline["tgt_tok"],
+            "--trials", "1", "--out-dir", str(out),
+            "--set", "search.hidden_min=8", "--set", "search.hidden_max=8",
+            "--set", "model.n_heads=2", "--set", "train.max_steps=2", "--set", "train.eval_every=0",
+        ]
+
+    @pytest.mark.parametrize("setting", [
+        "model.hidden_size=32", "model.ffn_size=64", "model.layer_postprocess_dropout=0.05",
+        "model.attention_dropout=0.05", "model.relu_dropout=0.05",
+        "train.learning_rate_factor=1.0", "train.batch_size=8",
+    ])
+    def test_search_rejects_sampled_key(self, pipeline, tmp_path, capsys, setting):
+        """search draws these per trial; a given value would be silently replaced."""
+        capsys.readouterr()
+        assert main(self._tiny_search(pipeline, tmp_path) + ["--set", setting]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and setting.split("=")[0] in err[0]
+        assert not (tmp_path / "trials.tsv").exists()
+
+    def test_search_accepts_seeds(self, pipeline, tmp_path):
+        """Trial seeds come from search.seed, so *.seed keys (as MEDSEQ_SEED sets them) pass."""
+        args = self._tiny_search(pipeline, tmp_path)
+        assert main(args + ["--set", "train.seed=5", "--set", "model.seed=5"]) == 0
+        assert (tmp_path / "trials.tsv").exists()
+
     def test_tokenizer_mismatch_exits_two(self, pipeline, tmp_path):
         assert main([
             "tokenize", "--corpus", pipeline["test_tsv"], "--out-dir", str(tmp_path),

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,16 +137,9 @@ def _small_checkpoint(dtype="float32", seed=4):
         max_src_len=8, max_tgt_len=4, dtype=dtype,
     )
     model = init_model(cfg, seed=seed)
-    state = OptimizerState.for_params(model.parameters)
-    rng = np.random.default_rng(seed)
-    for name in state.m:
-        state.m[name] = rng.standard_normal(state.m[name].shape).astype(cfg.np_dtype)
-        state.v[name] = rng.random(state.v[name].shape).astype(cfg.np_dtype)
     return Checkpoint(
         model_config=cfg,
         params={k: p.data.copy() for k, p in model.parameters.items()},
-        adam_m={k: a.copy() for k, a in state.m.items()},
-        adam_v={k: a.copy() for k, a in state.v.items()},
         opt_step=17,
         src_tok_sha256="a" * 64,
         tgt_tok_sha256="b" * 64,
@@ -152,7 +147,82 @@ def _small_checkpoint(dtype="float32", seed=4):
     )
 
 
+FIXTURE_CKPT = Path(__file__).resolve().parent.parent / "perfbench" / "fixture" / "model.ckpt"
+
+
+def _tensor_offset(body: bytes) -> int:
+    """Offset of the tensor count in a checkpoint body (after magic, version, header)."""
+    start = len(b"MEDSEQ-CKPT\n1\n")
+    (header_len,) = struct.unpack_from("<I", body, start)
+    return start + 4 + header_len
+
+
+def _tensor_names(blob: bytes) -> list[str]:
+    body = blob[:-32]
+    pos = _tensor_offset(body)
+    (count,) = struct.unpack_from("<I", body, pos)
+    pos += 4
+    names = []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", body, pos)
+        names.append(body[pos + 2 : pos + 2 + name_len].decode("utf-8"))
+        pos += 2 + name_len + 2
+        (ndim,) = struct.unpack_from("<B", body, pos)
+        pos += 1 + 4 * ndim
+        (nbytes,) = struct.unpack_from("<Q", body, pos)
+        pos += 8 + nbytes
+    assert pos == len(body)
+    return names
+
+
+def _with_tensors(blob: bytes, extra: dict[str, np.ndarray]) -> bytes:
+    """``blob`` with the ``extra`` tensors written ahead of its own, the
+    tensor count and the checksum recomputed."""
+    body = blob[:-32]
+    pos = _tensor_offset(body)
+    (count,) = struct.unpack_from("<I", body, pos)
+    records = []
+    for name, arr in extra.items():
+        nb = name.encode("utf-8")
+        code = {"float32": b"f4", "float64": b"f8"}[arr.dtype.name]
+        raw = arr.tobytes(order="C")
+        records.append(
+            struct.pack("<H", len(nb)) + nb + code + struct.pack("<B", arr.ndim)
+            + b"".join(struct.pack("<I", d) for d in arr.shape)
+            + struct.pack("<Q", len(raw)) + raw
+        )
+    body = body[:pos] + struct.pack("<I", count + len(extra)) + b"".join(records) + body[pos + 4 :]
+    return body + hashlib.sha256(body).digest()
+
+
 class TestCheckpoint:
+    def test_fixture_reloads_byte_identically(self):
+        blob = FIXTURE_CKPT.read_bytes()
+        ckpt = load_checkpoint(str(FIXTURE_CKPT))
+        assert ckpt.opt_step == 500
+        assert checkpoint_bytes(ckpt) == blob
+
+    def test_older_file_with_adam_moments_loads(self):
+        ckpt = _small_checkpoint()
+        blob = checkpoint_bytes(ckpt)
+        rng = np.random.default_rng(0)
+        extra = {}
+        for kind in ("m", "v"):
+            for name, arr in sorted(ckpt.params.items()):
+                extra[f"adam.{kind}.{name}"] = rng.random(arr.shape).astype(arr.dtype)
+        old = _with_tensors(blob, extra)
+        assert len(_tensor_names(old)) == 3 * len(ckpt.params)
+        back = checkpoint_from_bytes(old)
+        assert back.params.keys() == ckpt.params.keys()
+        for name, arr in ckpt.params.items():
+            assert np.array_equal(back.params[name], arr)
+        assert checkpoint_bytes(back) == blob
+
+    def test_unknown_tensor_rejected(self):
+        blob = _with_tensors(checkpoint_bytes(_small_checkpoint()), {"opt.x": np.zeros(2, np.float32)})
+        with pytest.raises(ValidationError, match="unknown checkpoint tensor 'opt.x'"):
+            checkpoint_from_bytes(blob)
+
     def test_bytes_roundtrip_is_byte_identical(self):
         ckpt = _small_checkpoint()
         blob = checkpoint_bytes(ckpt)
@@ -170,8 +240,6 @@ class TestCheckpoint:
         for name in ckpt.params:
             assert back.params[name].dtype == ckpt.params[name].dtype
             assert np.array_equal(back.params[name], ckpt.params[name])
-            assert np.array_equal(back.adam_m[name], ckpt.adam_m[name])
-            assert np.array_equal(back.adam_v[name], ckpt.adam_v[name])
 
     def test_file_roundtrip(self, tmp_path):
         ckpt = _small_checkpoint()
@@ -378,6 +446,11 @@ class TestTrainLoop:
         result = train(model, pairs, pairs[:5], src_tok, tgt_tok, tcfg)
         assert result.log[-1].step == 15
         assert result.best_step == 5
+
+    def test_checkpoint_holds_only_parameters(self, toy_model):
+        model, result = toy_model
+        names = _tensor_names(checkpoint_bytes(result.checkpoint))
+        assert names == sorted(f"param.{name}" for name in model.parameters)
 
     def test_checkpoint_stores_tokenizer_identity(self, toy_model, toy_data):
         from medseq.textprep import tokenizer_fingerprint

@@ -456,15 +456,6 @@ class TestSequenceLoss:
         expected = (n[0] * losses[0] + n[1] * losses[1]) / (n[0] + n[1])
         np.testing.assert_allclose(combined, expected, rtol=1e-12)
 
-    def test_smoothing_argument_overrides_config(self):
-        cfg = tiny_cfg()
-        model = init_model(cfg, seed=16)
-        rng = np.random.default_rng(16)
-        src, side, tgt = rand_batch(cfg, rng)
-        default = float(sequence_loss(model, src, side, tgt).data)
-        hard = float(sequence_loss(model, src, side, tgt, label_smoothing=0.0).data)
-        assert default != hard
-
 
 class TestGradient:
     def test_full_model_matches_finite_differences(self):
