@@ -256,6 +256,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
+    """table[ids]; ids may repeat, and the backward sums each id's rows."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ValidationError(
@@ -263,11 +264,39 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         )
 
     def back(g: np.ndarray) -> np.ndarray:
+        # Group equal ids with a stable sort and sum each run in one reduceat.
         acc = np.zeros_like(table.data)
-        np.add.at(acc, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        flat = ids.reshape(-1)
+        if flat.size == 0:
+            return acc
+        order = np.argsort(flat, kind="stable")
+        sorted_ids = flat[order]
+        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+        rows = g.reshape((flat.size,) + table.shape[1:])[order]
+        acc[sorted_ids[starts]] = np.add.reduceat(rows, starts, axis=0)
         return acc
 
     return _record(table.data[ids], (table,), (back,))
+
+
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """x[rows] along the first axis, for distinct ``rows``; the backward
+    writes the gradient rows into zeros."""
+
+    def back(g: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x.data)
+        out[rows] = g
+        return out
+
+    return _record(x.data[rows], (x,), (back,))
+
+
+def put_rows(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
+    """The inverse of ``take_rows``: n rows of zeros with x's rows written at
+    the distinct indices ``rows``."""
+    out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
+    out[rows] = x.data
+    return _record(out, (x,), (lambda g: g[rows],))
 
 
 class GeneratorDropout:

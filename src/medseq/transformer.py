@@ -4,6 +4,12 @@ Standard pre-norm architecture with one twist: four categorical side
 variables (age bucket, year, gender, origin) are embedded and summed, and
 the sum is broadcast-added to every position of the embedded source
 sequence.  The decoder sees the conditioning only through cross-attention.
+
+The teacher-forced stacks keep their residual stream as packed (n, h) rows,
+one per non-PAD position, so embeddings, norms, feed-forward layers,
+projections and dropout never compute PAD.  Only attention works in the
+padded (batch, heads, len, head dim) layout, and cross-attention projects
+its keys and values from the padded encoder memory.
 """
 
 from __future__ import annotations
@@ -25,8 +31,10 @@ from .tensor import (
     layer_norm,
     matmul,
     mul,
+    put_rows,
     relu,
     reshape,
+    take_rows,
     transpose,
 )
 from .textprep import PAD_ID
@@ -223,16 +231,43 @@ def _causal_bias(length: int, dtype: np.dtype) -> np.ndarray:
     return upper.astype(dtype)[None, None, :, :]
 
 
-def _project(params: dict[str, Tensor], name: str, x: Tensor, cfg: ModelConfig) -> Tensor:
-    """x @ params[name], split into heads: (batch, len, h) -> (batch, heads, len, h / heads)."""
-    y = matmul(x, params[name])
-    shape = (x.shape[0], x.shape[1], cfg.n_heads, cfg.hidden_size // cfg.n_heads)
-    return transpose(reshape(y, shape), (0, 2, 1, 3))
+@dataclass(frozen=True)
+class _Packing:
+    """Where the non-PAD positions of a (batch, len) id matrix sit.
+
+    ``rows`` index the flattened matrix in row-major order.  The encoder and
+    decoder stacks keep their residual stream as these packed (n, h) rows,
+    so position-wise work never touches PAD; only attention pads.
+    """
+
+    rows: np.ndarray
+    batch: int
+    length: int
+
+    @classmethod
+    def of(cls, ids: np.ndarray) -> "_Packing":
+        return cls(np.flatnonzero(ids.reshape(-1) != PAD_ID), ids.shape[0], ids.shape[1])
+
+    def padded(self, x: Tensor) -> Tensor:
+        """Packed (n, w) rows as (batch, len, w), with zeros at PAD."""
+        out = put_rows(x, self.rows, self.batch * self.length)
+        return reshape(out, (self.batch, self.length) + x.shape[1:])
+
+
+def _split_heads(x: Tensor, length: int, cfg: ModelConfig) -> Tensor:
+    """(batch, len, h), or (batch·len, h) rows, -> (batch, heads, len, h / heads)."""
+    shape = (-1, length, cfg.n_heads, cfg.hidden_size // cfg.n_heads)
+    return transpose(reshape(x, shape), (0, 2, 1, 3))
+
+
+def _project(
+    params: dict[str, Tensor], name: str, x: Tensor, length: int, cfg: ModelConfig
+) -> Tensor:
+    """x @ params[name], split into heads of ``length`` positions."""
+    return _split_heads(matmul(x, params[name]), length, cfg)
 
 
 def _attend(
-    params: dict[str, Tensor],
-    prefix: str,
     q: Tensor,
     k: Tensor,
     v: Tensor,
@@ -241,33 +276,49 @@ def _attend(
     train: bool,
     source: GeneratorDropout | None,
 ) -> Tensor:
-    """softmax(q kᵀ / sqrt(d) + bias) v over split heads, merged and projected by wo.
+    """softmax(q kᵀ / sqrt(d) + bias) v over split heads, merged into
+    (batch·t_q, h) rows, before the output projection.
 
-    The core shared by the teacher-forced stacks and the cached decoder step.
+    The core shared by the packed stacks and the cached decoder step.
     """
     batch, t_q = q.shape[0], q.shape[2]
     keep = keep_mask(
         q.shape[:3] + k.shape[2:3], cfg.attention_dropout, train, source, cfg.np_dtype
     )
     ctx = attention(q, k, v, bias, float(cfg.hidden_size // cfg.n_heads) ** -0.5, keep)
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, t_q, cfg.hidden_size))
-    return matmul(ctx, params[f"{prefix}.wo"])
+    return reshape(transpose(ctx, (0, 2, 1, 3)), (batch * t_q, cfg.hidden_size))
 
 
 def _attention(
     params: dict[str, Tensor],
     prefix: str,
-    x_q: Tensor,
-    x_kv: Tensor,
+    x: Tensor,
+    packing: _Packing,
     bias: np.ndarray,
     cfg: ModelConfig,
     train: bool,
     source: GeneratorDropout | None,
+    memory: Tensor | None = None,
 ) -> Tensor:
-    q = _project(params, f"{prefix}.wq", x_q, cfg)
-    k = _project(params, f"{prefix}.wk", x_kv, cfg)
-    v = _project(params, f"{prefix}.wv", x_kv, cfg)
-    return _attend(params, prefix, q, k, v, bias, cfg, train, source)
+    """Attention of the packed rows ``x`` over themselves, or over the
+    padded encoder ``memory`` when one is given.
+
+    The projections run on the packed rows; the queries (and own keys and
+    values) are scattered into the padded per-head layout for
+    ``attention``, and only the non-PAD rows of its output reach wo.
+    """
+
+    def heads(w: str) -> Tensor:
+        y = packing.padded(matmul(x, params[f"{prefix}.{w}"]))
+        return _split_heads(y, packing.length, cfg)
+
+    q = heads("wq")
+    if memory is None:
+        k, v = heads("wk"), heads("wv")
+    else:
+        k, v = (_project(params, f"{prefix}.{w}", memory, memory.shape[1], cfg) for w in ("wk", "wv"))
+    ctx = _attend(q, k, v, bias, cfg, train, source)
+    return matmul(take_rows(ctx, packing.rows), params[f"{prefix}.wo"])
 
 
 def _ffn(
@@ -287,14 +338,24 @@ def _normed(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"])
 
 
-def embed_source(
+def _embed(
+    model: TransformerModel, name: str, positions: np.ndarray, ids: np.ndarray, at: np.ndarray
+) -> Tensor:
+    """Rows of the embedding ``name`` * sqrt(h) plus the sinusoid rows at ``at``."""
+    x = mul(embedding_lookup(model.parameters[name], ids), float(model.config.hidden_size) ** 0.5)
+    return add(x, Tensor(positions[at]))
+
+
+def _source_rows(
     model: TransformerModel,
     src_ids: np.ndarray,
     side_idx: np.ndarray,
-    train: bool = False,
-    source: GeneratorDropout | None = None,
-) -> Tensor:
-    """Token embedding * sqrt(h) + positions + broadcast side-variable sum.
+    train: bool,
+    source: GeneratorDropout | None,
+) -> tuple[Tensor, _Packing]:
+    """The encoder's input on the packed non-PAD rows: token embedding *
+    sqrt(h) + position + the side-variable sum of the row's record, then
+    dropout.
 
     The side sum lands after the positional term; addition commutes, so the
     ordering is cosmetic.
@@ -308,13 +369,21 @@ def embed_source(
     if src_ids.shape[1] > cfg.max_src_len:
         raise ValidationError(f"source length {src_ids.shape[1]} exceeds max {cfg.max_src_len}")
     _check_side(cfg, side_idx)
-    x = mul(embedding_lookup(params["src_embed"], src_ids), float(cfg.hidden_size) ** 0.5)
-    x = add(x, Tensor(model.pos_src[: src_ids.shape[1]]))
+    packing = _Packing.of(src_ids)
+    at = packing.rows % packing.length
+    x = _embed(model, "src_embed", model.pos_src, src_ids.reshape(-1)[packing.rows], at)
     cond = embedding_lookup(params["side_embed_0"], side_idx[:, 0])
     for j in range(1, len(cfg.side_cardinalities)):
         cond = add(cond, embedding_lookup(params[f"side_embed_{j}"], side_idx[:, j]))
-    x = add(x, reshape(cond, (side_idx.shape[0], 1, cfg.hidden_size)))
-    return dropout(x, cfg.layer_postprocess_dropout, train, source)
+    x = add(x, embedding_lookup(cond, packing.rows // packing.length))
+    return dropout(x, cfg.layer_postprocess_dropout, train, source), packing
+
+
+def embed_source(model: TransformerModel, src_ids: np.ndarray, side_idx: np.ndarray) -> Tensor:
+    """The encoder's input as (batch, len, h), zeros at PAD: the padded
+    view of the packed rows ``encode_source`` runs on."""
+    x, packing = _source_rows(model, src_ids, side_idx, False, None)
+    return packing.padded(x)
 
 
 def encode_source(
@@ -324,26 +393,20 @@ def encode_source(
     train: bool = False,
     source: GeneratorDropout | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """Run the encoder stack; returns (memory, source padding bias)."""
+    """Run the encoder stack on the packed non-PAD rows; returns (memory,
+    source padding bias), the memory padded to (batch, len, h) with zeros
+    at PAD."""
     cfg = model.config
     params = model.parameters
-    src_ids = np.asarray(src_ids)
-    x = embed_source(model, src_ids, side_idx, train, source)
-    src_bias = _pad_bias(src_ids, cfg.np_dtype)
+    x, packing = _source_rows(model, src_ids, side_idx, train, source)
+    src_bias = _pad_bias(np.asarray(src_ids), cfg.np_dtype)
     for i in range(cfg.n_layers_enc):
         y = _normed(params, f"enc{i}.attn_norm", x)
-        y = _attention(params, f"enc{i}.attn", y, y, src_bias, cfg, train, source)
+        y = _attention(params, f"enc{i}.attn", y, packing, src_bias, cfg, train, source)
         x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
         y = _ffn(params, f"enc{i}.ffn", _normed(params, f"enc{i}.ffn_norm", x), cfg, train, source)
         x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
-    return _normed(params, "enc.final_norm", x), src_bias
-
-
-def _embed_target(model: TransformerModel, ids: np.ndarray, offset: int) -> Tensor:
-    """Target embedding * sqrt(h) plus the positions offset..offset+len."""
-    cfg = model.config
-    x = mul(embedding_lookup(model.parameters["tgt_embed"], ids), float(cfg.hidden_size) ** 0.5)
-    return add(x, Tensor(model.pos_tgt[offset : offset + ids.shape[1]]))
+    return packing.padded(_normed(params, "enc.final_norm", x)), src_bias
 
 
 def _output_logits(params: dict[str, Tensor], x: Tensor) -> Tensor:
@@ -363,41 +426,48 @@ def decode_logits(
     """Decoder stack over a (batch, len) target prefix; returns logits.
 
     This is the teacher-forced path; decoding advances with ``decode_step``.
+    The stack runs on the prefix's non-PAD rows, so the logits at PAD
+    positions come from zero states: finite and meaningless.
     """
-    states = _decoder_states(model, memory, src_bias, tgt_in_ids, train, source)
-    return _output_logits(model.parameters, states)
+    x, packing = _decoder_rows(model, memory, src_bias, tgt_in_ids, train, source)
+    return _output_logits(model.parameters, packing.padded(x))
 
 
-def _decoder_states(
+def _decoder_rows(
     model: TransformerModel,
     memory: Tensor,
     src_bias: np.ndarray,
     tgt_in_ids: np.ndarray,
     train: bool,
     source: GeneratorDropout | None,
-) -> Tensor:
-    """The decoder layers' (batch, len, h) output, before the final norm."""
+) -> tuple[Tensor, _Packing]:
+    """The decoder layers' output on the packed non-PAD rows of
+    ``tgt_in_ids``, before the final norm."""
     cfg = model.config
     params = model.parameters
     tgt_in_ids = np.asarray(tgt_in_ids)
     if tgt_in_ids.ndim != 2:
         raise ValidationError(f"tgt_in_ids must be (batch, len), got {tgt_in_ids.shape}")
-    batch, t = tgt_in_ids.shape
+    t = tgt_in_ids.shape[1]
     if t > cfg.max_tgt_len:
         raise ValidationError(f"target length {t} exceeds max {cfg.max_tgt_len}")
-    x = _embed_target(model, tgt_in_ids, 0)
+    packing = _Packing.of(tgt_in_ids)
+    ids = tgt_in_ids.reshape(-1)[packing.rows]
+    x = _embed(model, "tgt_embed", model.pos_tgt, ids, packing.rows % t)
     x = dropout(x, cfg.layer_postprocess_dropout, train, source)
     self_bias = _causal_bias(t, cfg.np_dtype) + _pad_bias(tgt_in_ids, cfg.np_dtype)
     for i in range(cfg.n_layers_dec):
         y = _normed(params, f"dec{i}.self_norm", x)
-        y = _attention(params, f"dec{i}.self_attn", y, y, self_bias, cfg, train, source)
+        y = _attention(params, f"dec{i}.self_attn", y, packing, self_bias, cfg, train, source)
         x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
         y = _normed(params, f"dec{i}.cross_norm", x)
-        y = _attention(params, f"dec{i}.cross_attn", y, memory, src_bias, cfg, train, source)
+        y = _attention(
+            params, f"dec{i}.cross_attn", y, packing, src_bias, cfg, train, source, memory
+        )
         x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
         y = _ffn(params, f"dec{i}.ffn", _normed(params, f"dec{i}.ffn_norm", x), cfg, train, source)
         x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
-    return x
+    return x, packing
 
 
 @dataclass
@@ -425,7 +495,10 @@ def init_decoder_cache(model: TransformerModel, memory: Tensor, src_bias: np.nda
     params = model.parameters
     batch = memory.shape[0]
     cross = [
-        tuple(_project(params, f"dec{i}.cross_attn.{w}", memory, cfg).data for w in ("wk", "wv"))
+        tuple(
+            _project(params, f"dec{i}.cross_attn.{w}", memory, memory.shape[1], cfg).data
+            for w in ("wk", "wv")
+        )
         for i in range(cfg.n_layers_dec)
     ]
     empty = np.zeros((batch, cfg.n_heads, 0, cfg.hidden_size // cfg.n_heads), dtype=cfg.np_dtype)
@@ -466,26 +539,27 @@ def decode_step(
         cache.record = record
         cache.row_cross = [(k[record], v[record]) for k, v in cache.cross]
         cache.row_src_bias = cache.src_bias[record]
-    x = _embed_target(model, tokens[:, None], t)
+    # One (rows, h) row per hypothesis: each is a prefix's single new position.
+    x = _embed(model, "tgt_embed", model.pos_tgt, tokens, np.full(tokens.shape, t))
     for i in range(cfg.n_layers_dec):
         y = _normed(params, f"dec{i}.self_norm", x)
-        q = _project(params, f"dec{i}.self_attn.wq", y, cfg)
-        k_prev, v_prev = cache.self_kv[i]
-        k = np.concatenate([k_prev[parents], _project(params, f"dec{i}.self_attn.wk", y, cfg).data], axis=2)
-        v = np.concatenate([v_prev[parents], _project(params, f"dec{i}.self_attn.wv", y, cfg).data], axis=2)
-        cache.self_kv[i] = (k, v)
-        x = add(x, _attend(params, f"dec{i}.self_attn", q, Tensor(k), Tensor(v), None, cfg, False, None))
-        y = _normed(params, f"dec{i}.cross_norm", x)
-        q = _project(params, f"dec{i}.cross_attn.wq", y, cfg)
-        k_mem, v_mem = cache.row_cross[i]
-        y = _attend(
-            params, f"dec{i}.cross_attn", q, Tensor(k_mem), Tensor(v_mem),
-            cache.row_src_bias, cfg, False, None,
+        q, k_new, v_new = (
+            _project(params, f"dec{i}.self_attn.{w}", y, 1, cfg) for w in ("wq", "wk", "wv")
         )
-        x = add(x, y)
+        k_prev, v_prev = cache.self_kv[i]
+        k = np.concatenate([k_prev[parents], k_new.data], axis=2)
+        v = np.concatenate([v_prev[parents], v_new.data], axis=2)
+        cache.self_kv[i] = (k, v)
+        y = _attend(q, Tensor(k), Tensor(v), None, cfg, False, None)
+        x = add(x, matmul(y, params[f"dec{i}.self_attn.wo"]))
+        y = _normed(params, f"dec{i}.cross_norm", x)
+        q = _project(params, f"dec{i}.cross_attn.wq", y, 1, cfg)
+        k_mem, v_mem = cache.row_cross[i]
+        y = _attend(q, Tensor(k_mem), Tensor(v_mem), cache.row_src_bias, cfg, False, None)
+        x = add(x, matmul(y, params[f"dec{i}.cross_attn.wo"]))
         y = _ffn(params, f"dec{i}.ffn", _normed(params, f"dec{i}.ffn_norm", x), cfg, False, None)
         x = add(x, y)
-    return _output_logits(params, x).data[:, 0, :]
+    return _output_logits(params, x).data
 
 
 def forward(
@@ -511,21 +585,21 @@ def sequence_loss(
     """Teacher-forced mean cross-entropy over non-PAD target tokens.
 
     ``tgt_ids`` rows are BOS, tokens, EOS, PAD...; the decoder reads the
-    row minus its last column and predicts the row minus its first.
+    row minus its last column and predicts the row minus its first.  The
+    same packed stacks as ``forward`` run, and only the decoder rows with a
+    target reach the output projection.
     """
     tgt_ids = np.asarray(tgt_ids)
     if tgt_ids.ndim != 2 or tgt_ids.shape[0] == 0:
         raise ValidationError(f"target batch must be nonempty (batch, len), got {tgt_ids.shape}")
     if tgt_ids.shape[1] < 2:
         raise ValidationError("target rows need at least BOS and one more token")
-    cfg = model.config
     dec_in = tgt_ids[:, :-1]
-    targets = tgt_ids[:, 1:].reshape(-1)
+    if np.any((tgt_ids[:, 1:] != PAD_ID) & (dec_in == PAD_ID)):
+        raise ValidationError("a target token follows a PAD in its row")
     memory, src_bias = encode_source(model, src_ids, side_idx, train, source)
-    states = _decoder_states(model, memory, src_bias, dec_in, train, source)
-    # Only the rows with a target reach the output projection; the gather's
-    # backward scatters their gradients back into the padded batch.
+    x, packing = _decoder_rows(model, memory, src_bias, dec_in, train, source)
+    targets = tgt_ids[:, 1:].reshape(-1)[packing.rows]
     kept = np.flatnonzero(targets != PAD_ID)
-    rows = embedding_lookup(reshape(states, (targets.size, cfg.hidden_size)), kept)
-    logits = _output_logits(model.parameters, rows)
-    return cross_entropy(logits, targets[kept], label_smoothing=cfg.label_smoothing)
+    logits = _output_logits(model.parameters, take_rows(x, kept))
+    return cross_entropy(logits, targets[kept], label_smoothing=model.config.label_smoothing)

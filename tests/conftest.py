@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before numpy loads: training is deterministic only
+# single-threaded, and the benchmark runs the same way.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from medseq.synth import GeneratorConfig, build_default_lexicon, generate_corpus

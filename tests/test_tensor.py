@@ -24,9 +24,11 @@ from medseq.tensor import (
     layer_norm,
     matmul,
     mul,
+    put_rows,
     reduce_sum,
     relu,
     reshape,
+    take_rows,
     transpose,
 )
 
@@ -388,6 +390,62 @@ class TestAttention:
         with Tape() as tape:
             attention(q, k, v, bias, 0.4, keep)
         assert len(tape._nodes) == 1
+
+
+class TestRowGathers:
+    """take_rows and put_rows, the packed <-> padded moves of the model."""
+
+    ROWS = np.array([0, 2, 3, 6])
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(0)
+        x = rnd(rng, 7, 3)
+        w = Tensor(rng.standard_normal((4, 3)))
+        check(lambda: reduce_sum(mul(take_rows(x, self.ROWS), w)), {"x": x})
+        packed = rnd(rng, 4, 3)
+        w_full = Tensor(rng.standard_normal((7, 3)))
+        check(lambda: reduce_sum(mul(put_rows(packed, self.ROWS, 7), w_full)), {"packed": packed})
+
+    def test_each_inverts_the_other(self):
+        rng = np.random.default_rng(1)
+        packed = rng.standard_normal((4, 3))
+        full = put_rows(Tensor(packed), self.ROWS, 7).data
+        assert np.array_equal(take_rows(Tensor(full), self.ROWS).data, packed)
+        assert not full[[1, 4, 5]].any()
+        x = rng.standard_normal((7, 3))
+        x[[1, 4, 5]] = 0.0
+        assert np.array_equal(put_rows(take_rows(Tensor(x), self.ROWS), self.ROWS, 7).data, x)
+
+    def test_each_is_one_tape_node(self):
+        full, packed = Tensor(np.ones((7, 3))), Tensor(np.ones((4, 3)))
+        for op in (lambda: take_rows(full, self.ROWS), lambda: put_rows(packed, self.ROWS, 7)):
+            with Tape() as tape:
+                op()
+            assert len(tape._nodes) == 1
+
+
+class TestEmbeddingBackward:
+    """The sort-and-reduceat scatter against np.add.at, in float64."""
+
+    @pytest.mark.parametrize("ids", [
+        [3, 1, 3, 0, 1, 3],  # repeated and unsorted; row 2 unused
+        [2, 2, 2, 2],  # all equal
+        [1],  # single
+        [[4, 0], [0, 4]],  # two-dimensional
+    ])
+    def test_matches_add_at(self, ids):
+        ids = np.asarray(ids)
+        rng = np.random.default_rng(ids.size)
+        table = rnd(rng, 5, 3)
+        g = rng.standard_normal(ids.shape + (3,))
+        with Tape() as tape:
+            out = embedding_lookup(table, ids)
+            grad = tape.gradients(reduce_sum(mul(out, Tensor(g))), {"t": table})["t"]
+        want = np.zeros((5, 3))
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, 3))
+        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
+        unused = np.setdiff1d(np.arange(5), ids)
+        assert not grad[unused].any()
 
 
 class TestWeightMatmul:

@@ -12,7 +12,22 @@ import numpy as np
 import pytest
 
 from medseq.errors import ConfigError, ValidationError
-from medseq.tensor import GeneratorDropout, Tape, Tensor, cross_entropy, finite_diff_check, reshape
+from medseq.tensor import (
+    GeneratorDropout,
+    Tape,
+    Tensor,
+    add,
+    attention,
+    cross_entropy,
+    embedding_lookup,
+    finite_diff_check,
+    layer_norm,
+    matmul,
+    mul,
+    relu,
+    reshape,
+    transpose,
+)
 from medseq.textprep import BOS_ID, EOS_ID, PAD_ID
 from medseq.train import OptimizerState, adam_step, learning_rate, loss_and_grads
 from medseq.transformer import (
@@ -455,6 +470,138 @@ class TestSequenceLoss:
         combined = float(sequence_loss(model, src, side, tgt).data)
         expected = (n[0] * losses[0] + n[1] * losses[1]) / (n[0] + n[1])
         np.testing.assert_allclose(combined, expected, rtol=1e-12)
+
+
+def padded_forward(model, src, side, tgt_in):
+    """Logits of the stacks run in the padded (batch, len, h) layout, PAD
+    positions computed like any other: the composition the packed rows
+    replaced, kept as a reference.  No dropout."""
+    cfg, p = model.config, model.parameters
+    h, d = cfg.hidden_size, cfg.hidden_size // cfg.n_heads
+
+    def norm(prefix, x):
+        return layer_norm(x, p[f"{prefix}.gain"], p[f"{prefix}.bias"])
+
+    def heads(x):
+        return transpose(reshape(x, x.shape[:2] + (cfg.n_heads, d)), (0, 2, 1, 3))
+
+    def attend(prefix, xq, xkv, bias):
+        q = heads(matmul(xq, p[f"{prefix}.wq"]))
+        k, v = (heads(matmul(xkv, p[f"{prefix}.{w}"])) for w in ("wk", "wv"))
+        ctx = transpose(attention(q, k, v, bias, d ** -0.5), (0, 2, 1, 3))
+        return matmul(reshape(ctx, xq.shape[:2] + (h,)), p[f"{prefix}.wo"])
+
+    def ffn(prefix, x):
+        y = relu(add(matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
+        return add(matmul(y, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+
+    def pad_bias(ids):
+        return np.where(ids == PAD_ID, -1e9, 0.0)[:, None, None, :]
+
+    x = mul(embedding_lookup(p["src_embed"], src), h ** 0.5)
+    x = add(x, Tensor(model.pos_src[: src.shape[1]]))
+    cond = embedding_lookup(p["side_embed_0"], side[:, 0])
+    for j in range(1, side.shape[1]):
+        cond = add(cond, embedding_lookup(p[f"side_embed_{j}"], side[:, j]))
+    x = add(x, reshape(cond, (src.shape[0], 1, h)))
+    for i in range(cfg.n_layers_enc):
+        y = norm(f"enc{i}.attn_norm", x)
+        x = add(x, attend(f"enc{i}.attn", y, y, pad_bias(src)))
+        x = add(x, ffn(f"enc{i}.ffn", norm(f"enc{i}.ffn_norm", x)))
+    memory = norm("enc.final_norm", x)
+    t = tgt_in.shape[1]
+    causal = np.triu(np.full((t, t), -1e9), k=1)[None, None]
+    x = mul(embedding_lookup(p["tgt_embed"], tgt_in), h ** 0.5)
+    x = add(x, Tensor(model.pos_tgt[:t]))
+    for i in range(cfg.n_layers_dec):
+        y = norm(f"dec{i}.self_norm", x)
+        x = add(x, attend(f"dec{i}.self_attn", y, y, causal + pad_bias(tgt_in)))
+        x = add(x, attend(f"dec{i}.cross_attn", norm(f"dec{i}.cross_norm", x), memory, pad_bias(src)))
+        x = add(x, ffn(f"dec{i}.ffn", norm(f"dec{i}.ffn_norm", x)))
+    return matmul(norm("dec.final_norm", x), transpose(p["tgt_embed"], (1, 0)))
+
+
+def logits_loss(model, logits, tgt):
+    b, t, v = logits.shape
+    return cross_entropy(reshape(logits, (b * t, v)), tgt[:, 1:].reshape(-1),
+                         ignore_id=PAD_ID, label_smoothing=model.config.label_smoothing)
+
+
+def packed_batches():
+    """(src, side, tgt) batches with the PAD patterns the packing meets."""
+    cfg = tiny_cfg()
+    rng = np.random.default_rng(21)
+    mixed = rand_batch(cfg, rng, batch=4, src_len=6, tgt_len=6)
+    mixed[0][0, 2:] = PAD_ID
+    mixed[0][2, 4:] = PAD_ID
+    full = rand_batch(cfg, rng, batch=3, src_len=5, tgt_len=5)
+    full[2][:, 1:-1] = rng.integers(4, cfg.tgt_vocab_size, size=(3, 3))
+    full[2][:, -1] = EOS_ID
+    assert (full[0] != PAD_ID).all() and (full[2] != PAD_ID).all()
+    one = rand_batch(cfg, rng, batch=1, src_len=5, tgt_len=6)
+    one[0][0, 3:] = PAD_ID
+    short = rand_batch(cfg, rng, batch=3, src_len=5, tgt_len=6)
+    short[0][1, 1:] = PAD_ID
+    return [
+        pytest.param(*mixed, id="mixed_lengths"),
+        pytest.param(*full, id="no_pad"),
+        pytest.param(*one, id="batch_of_one"),
+        pytest.param(*short, id="source_of_length_one"),
+    ]
+
+
+class TestPackedRows:
+    """The packed stacks against the padded reference, in float64."""
+
+    @pytest.mark.parametrize("src,side,tgt", packed_batches())
+    def test_loss_and_gradients_match_padded_reference(self, src, side, tgt):
+        model = init_model(tiny_cfg(n_layers_enc=2, n_layers_dec=2), seed=21)
+        runs = {
+            "reference": lambda: logits_loss(model, padded_forward(model, src, side, tgt[:, :-1]), tgt),
+            "forward": lambda: logits_loss(model, forward(model, src, side, tgt[:, :-1]), tgt),
+            "sequence_loss": lambda: sequence_loss(model, src, side, tgt),
+        }
+        results = {}
+        for key, f in runs.items():
+            with Tape() as tape:
+                loss = f()
+                results[key] = (float(loss.data), tape.gradients(loss, model.parameters))
+        ref_loss, ref_grads = results.pop("reference")
+        for key, (loss, grads) in results.items():
+            np.testing.assert_allclose(loss, ref_loss, rtol=0, atol=1e-12, err_msg=key)
+            for pname, g in ref_grads.items():
+                np.testing.assert_allclose(grads[pname], g, rtol=0, atol=1e-12,
+                                           err_msg=f"{key}: {pname}")
+
+    @pytest.mark.parametrize("src,side,tgt", packed_batches())
+    def test_logits_match_at_non_pad_positions(self, src, side, tgt):
+        model = init_model(tiny_cfg(), seed=22)
+        tgt_in = tgt[:, :-1]
+        got = forward(model, src, side, tgt_in).data
+        want = padded_forward(model, src, side, tgt_in).data
+        real = tgt_in != PAD_ID
+        np.testing.assert_allclose(got[real], want[real], rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(got))
+
+    def test_record_memory_does_not_depend_on_batch_mates(self):
+        model = init_model(tiny_cfg(n_layers_enc=2), seed=23)
+        rng = np.random.default_rng(23)
+        src, side, _ = rand_batch(model.config, rng, batch=4, src_len=7)
+        lengths = [7, 1, 4, 2]
+        for i, n in enumerate(lengths):
+            src[i, n:] = PAD_ID
+        memory, _ = encode_source(model, src, side)
+        for i, n in enumerate(lengths):
+            alone, _ = encode_source(model, src[i : i + 1, :n], side[i : i + 1])
+            np.testing.assert_allclose(memory.data[i, :n], alone.data[0], rtol=0, atol=1e-12)
+            assert not memory.data[i, n:].any()
+
+    def test_target_after_pad_rejected(self):
+        model = init_model(tiny_cfg(), seed=24)
+        src, side, tgt = rand_batch(model.config, np.random.default_rng(24), batch=1, tgt_len=5)
+        tgt[0] = [BOS_ID, PAD_ID, 5, EOS_ID, PAD_ID]
+        with pytest.raises(ValidationError):
+            sequence_loss(model, src, side, tgt)
 
 
 class TestGradient:
