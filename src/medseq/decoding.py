@@ -28,7 +28,7 @@ from .transformer import TransformerModel, decode_step, encode_source, init_deco
 MAX_CODES = 20
 DEFAULT_BEAM_WIDTH = 4
 DEFAULT_ALPHA = 0.6
-DECODE_GROUP = 16  # records predict_pairs decodes as one batch
+DECODE_ROWS = 256  # hypothesis rows (records x beam width) predict_pairs decodes as one batch
 
 
 @dataclass(frozen=True)
@@ -201,30 +201,34 @@ def predict_pairs(
 ) -> list[Prediction]:
     """Top beam hypothesis for each (source text, side variables) record.
 
-    Records are decoded DECODE_GROUP at a time, PAD-filled to the group's
-    longest source.
+    Records are sorted by encoded source length (ties keep input order) and
+    decoded in groups of at most DECODE_ROWS hypothesis rows, that is
+    DECODE_ROWS // beam_width records (at least one), each group PAD-filled
+    to its longest source.  Predictions come back in input order.
     """
     cfg = model.config
-    out = []
-    for start in range(0, len(pairs), DECODE_GROUP):
-        group = pairs[start : start + DECODE_GROUP]
-        encoded = [
-            encode_text(src_tok, p.source_text, max_len=cfg.max_src_len, record_id=p.id)
-            for p in group
-        ]
-        src = np.full((len(group), max(1, *map(len, encoded))), PAD_ID, dtype=np.int64)
-        for i, ids in enumerate(encoded):
-            src[i, : len(ids)] = ids
-        side = np.array([p.side.as_tuple() for p in group], dtype=np.int64)
+    encoded = [
+        encode_text(src_tok, p.source_text, max_len=cfg.max_src_len, record_id=p.id)
+        for p in pairs
+    ]
+    order = sorted(range(len(pairs)), key=lambda i: len(encoded[i]))
+    group_size = max(1, DECODE_ROWS // max(1, beam_width))  # decode_batch rejects widths < 1
+    top: dict[int, Prediction] = {}
+    for start in range(0, len(order), group_size):
+        group = order[start : start + group_size]
+        src = np.full((len(group), max(1, len(encoded[group[-1]]))), PAD_ID, dtype=np.int64)
+        for row, i in enumerate(group):
+            src[row, : len(encoded[i])] = encoded[i]
+        side = np.array([pairs[i].side.as_tuple() for i in group], dtype=np.int64)
         ranked = decode_batch(
             model, tgt_tok, src, side,
-            beam_width=beam_width, alpha=alpha, record_ids=[p.id for p in group],
+            beam_width=beam_width, alpha=alpha, record_ids=[pairs[i].id for i in group],
         )
-        for pair, hyps in zip(group, ranked):
+        for i, hyps in zip(group, ranked):
             if not hyps:
-                raise ValidationError(f"record {pair.id!r}: beam search returned no hypothesis")
-            out.append(hyps[0])
-    return out
+                raise ValidationError(f"record {pairs[i].id!r}: beam search returned no hypothesis")
+            top[i] = hyps[0]
+    return [top[i] for i in range(len(pairs))]
 
 
 def write_predictions(path: str, predictions: list[Prediction]) -> None:

@@ -236,16 +236,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} must match last axis of {x.shape}"
         )
-    d = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)
+    # Means as sum / n: the same bits as np.mean without its Python wrapper.
+    n = x.shape[-1]
+    d = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((d * d).sum(axis=-1, keepdims=True) / n + eps)
     y = d * inv
     out = gain.data * y + bias.data
     lead = tuple(range(x.data.ndim - 1))
 
     def back_x(g: np.ndarray) -> np.ndarray:
         dy = g * gain.data
-        m1 = dy.mean(axis=-1, keepdims=True)
-        m2 = (dy * y).mean(axis=-1, keepdims=True)
+        m1 = dy.sum(axis=-1, keepdims=True) / n
+        m2 = (dy * y).sum(axis=-1, keepdims=True) / n
         return inv * (dy - m1 - y * m2)
 
     return _record(
@@ -389,8 +391,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = np.argsort(axes)
-    return _record(x.data.transpose(axes), (x,), (lambda g: g.transpose(inv),))
+    return _record(x.data.transpose(axes), (x,), (lambda g: g.transpose(np.argsort(axes)),))
 
 
 def reduce_sum(x: Tensor) -> Tensor:

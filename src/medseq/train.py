@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import atomic_open
-from .decoding import greedy_decode
+from .decoding import DECODE_ROWS, greedy_decode
 from .errors import ConfigError, DivergenceError, ShapeError, ValidationError
 from .metrics import micro_metrics
 from .tensor import GeneratorDropout, Tape, Tensor
@@ -247,11 +247,17 @@ def validation_f(
     batch_size: int,
     limit: int | None = None,
 ) -> float:
-    """Micro F of greedy decoding against the gold code sequences."""
+    """Micro F of greedy decoding against the gold code sequences.
+
+    The first ``limit`` records (all without one) are sorted by source
+    length, ties in input order, and decoded min(batch_size, DECODE_ROWS)
+    at a time; F does not depend on their order.
+    """
     subset = enc_pairs[:limit] if limit else enc_pairs
     if not subset:
         raise ValidationError("validation set is empty")
-    chunk_size = max(1, min(batch_size, 256))
+    subset = sorted(subset, key=lambda p: len(p.src))
+    chunk_size = max(1, min(batch_size, DECODE_ROWS))
     pairs = []
     for start in range(0, len(subset), chunk_size):
         chunk = subset[start : start + chunk_size]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 # One BLAS thread, set before numpy loads: training is deterministic only
@@ -9,9 +10,11 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np
 import pytest
 
 from medseq.synth import GeneratorConfig, build_default_lexicon, generate_corpus
+from medseq.tensor import Tensor
 from medseq.textprep import bpe_train, concat_backward
 from medseq.train import TrainConfig, train
 from medseq.transformer import ModelConfig, init_model
@@ -46,6 +49,16 @@ def toy_model(toy_data):
     tcfg = TrainConfig(max_steps=250, batch_size=32, warmup_steps=100, eval_every=0, log_every=250)
     result = train(model, pairs, pairs, src_tok, tgt_tok, tcfg)
     return model, result
+
+
+@pytest.fixture(scope="session")
+def toy_model64(toy_model):
+    """The toy model's weights in float64, where decoding ties are rare."""
+    model = toy_model[0]
+    copy = init_model(dataclasses.replace(model.config, dtype="float64"), seed=0)
+    for name, p in model.parameters.items():
+        copy.parameters[name] = Tensor(p.data.astype(np.float64))
+    return copy
 
 
 @pytest.fixture(scope="session")

@@ -6,17 +6,17 @@ all finished sequences produces, using the same finish rules and the same
 length-normalized objective.
 """
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from medseq import decoding
 from medseq.decoding import (
-    DECODE_GROUP,
     MAX_CODES,
     Prediction,
     beam_search,
+    decode_batch,
     greedy_decode,
     length_penalty,
     predict_pairs,
@@ -127,26 +127,47 @@ class TestBeamBasics:
         assert [p.id for p in preds] == [pair.id for pair in subset]
 
 
-def _float64_copy(model):
-    cfg = dataclasses.replace(model.config, dtype="float64")
-    copy = init_model(cfg, seed=0)
-    for name, p in model.parameters.items():
-        copy.parameters[name] = Tensor(p.data.astype(np.float64))
-    return copy
-
-
 class TestBatchedDecoding:
-    def test_padded_groups_match_single_records(self, toy_data, toy_model):
+    def test_padded_groups_match_single_records(self, toy_data, toy_model64, monkeypatch):
+        self._check_groups(toy_data, toy_model64, monkeypatch, rows=12, beam_width=3)
+
+    def test_beam_wider_than_row_budget_decodes_one_record_per_group(
+        self, toy_data, toy_model64, monkeypatch
+    ):
+        self._check_groups(toy_data, toy_model64, monkeypatch, rows=2, beam_width=3)
+
+    @staticmethod
+    def _check_groups(toy_data, model, monkeypatch, rows, beam_width):
+        """predict_pairs under a DECODE_ROWS of rows against one record at a time."""
         _, all_pairs, src_tok, tgt_tok = toy_data
-        model = _float64_copy(toy_model[0])
-        pairs = all_pairs[: DECODE_GROUP + 4]
-        assert len({len(encode(src_tok, p.source_text)) for p in pairs[:DECODE_GROUP]}) > 3
-        preds = predict_pairs(model, src_tok, tgt_tok, pairs, beam_width=3)
+        # Longest source first, so that the length sort reorders every record
+        # and the predictions must be put back in input order.
+        pairs = sorted(all_pairs[:20], key=lambda p: -len(encode(src_tok, p.source_text)))
+        monkeypatch.setattr(decoding, "DECODE_ROWS", rows)
+        groups = []
+
+        def spy(model, tokenizer, src_ids, *args, **kwargs):
+            groups.append((src_ids != PAD_ID).sum(axis=1).tolist())
+            return decode_batch(model, tokenizer, src_ids, *args, **kwargs)
+
+        monkeypatch.setattr(decoding, "decode_batch", spy)
+        preds = predict_pairs(model, src_tok, tgt_tok, pairs, beam_width=beam_width)
+        monkeypatch.undo()
+        group_size = max(1, rows // beam_width)
+        assert len(groups) > 1
+        assert [len(g) for g in groups] == [
+            min(group_size, len(pairs) - start) for start in range(0, len(pairs), group_size)
+        ]
+        lengths = [n for g in groups for n in g]
+        assert lengths == sorted(lengths) and len(set(lengths)) > 3
+        if group_size > 1:
+            assert any(len(set(g)) > 1 for g in groups)  # some group pads its shorter records
+
         assert [p.id for p in preds] == [pair.id for pair in pairs]
         for pair, got in zip(pairs, preds):
             src = np.array(encode(src_tok, pair.source_text))
             side = np.array(pair.side.as_tuple())
-            want = beam_search(model, tgt_tok, src, side, beam_width=3, record_id=pair.id)[0]
+            want = beam_search(model, tgt_tok, src, side, beam_width=beam_width, record_id=pair.id)[0]
             assert got.codes == want.codes, pair.id
             np.testing.assert_allclose(got.score, want.score, rtol=1e-9, err_msg=pair.id)
 

@@ -1,6 +1,7 @@
 """Optimizer, schedule, checkpoint container, training loop, random search."""
 
 import hashlib
+import importlib
 import math
 import struct
 from dataclasses import replace
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from medseq.decoding import greedy_decode
 from medseq.errors import ConfigError, DivergenceError, ShapeError, ValidationError
 from medseq.tensor import Tensor
 from medseq.textprep import BOS_ID, EOS_ID, PAD_ID
@@ -41,6 +43,8 @@ from medseq.train import (
 from medseq.transformer import ModelConfig, init_model
 
 from conftest import TOY_MODEL_CFG
+
+train_module = importlib.import_module("medseq.train")  # medseq.train is the train function
 
 
 class TestLearningRate:
@@ -484,6 +488,33 @@ class TestValidationF:
         model, _ = toy_model
         with pytest.raises(ValidationError):
             validation_f(model, tgt_tok, [], batch_size=8)
+
+    def test_order_and_batch_size_do_not_move_f(self, toy_model64, toy_data):
+        _, pairs, src_tok, tgt_tok = toy_data
+        enc = encode_pairs(pairs, src_tok, tgt_tok, toy_model64.config)
+        shuffled = [enc[i] for i in np.random.default_rng(0).permutation(len(enc))]
+        f = validation_f(toy_model64, tgt_tok, enc, batch_size=32)
+        assert 0.0 < f <= 1.0
+        assert validation_f(toy_model64, tgt_tok, shuffled, batch_size=32) == f
+        for batch_size in (1, 7, 256):
+            assert validation_f(toy_model64, tgt_tok, enc, batch_size=batch_size) == f, batch_size
+
+    def test_limit_scores_the_first_records(self, toy_model64, toy_data, monkeypatch):
+        _, pairs, src_tok, tgt_tok = toy_data
+        enc = encode_pairs(pairs, src_tok, tgt_tok, toy_model64.config)
+        decoded = []
+
+        def spy(model, tokenizer, src, side, record_ids=None, **kwargs):
+            decoded.extend(record_ids)
+            return greedy_decode(model, tokenizer, src, side, record_ids=record_ids, **kwargs)
+
+        monkeypatch.setattr(train_module, "greedy_decode", spy)
+        f_few = validation_f(toy_model64, tgt_tok, enc, batch_size=4, limit=10)
+        assert sorted(decoded) == sorted(p.id for p in enc[:10])
+        by_id = {p.id: p for p in enc}
+        assert [len(by_id[i].src) for i in decoded] == sorted(len(p.src) for p in enc[:10])
+        monkeypatch.undo()
+        assert f_few == validation_f(toy_model64, tgt_tok, enc[:10], batch_size=4)
 
 
 class TestFormatLog:
