@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import atomic_open, read_lines
 from .errors import ValidationError
-from .textprep import BOS_ID, EOS_ID, PAD_ID, TokenizerModel, TrainingPair, token_is_word_final
+from .textprep import BOS_ID, EOS_ID, PAD_ID, TokenizerModel, TrainingPair, word_final_mask
 from .textprep import decode as decode_tokens
 from .textprep import encode as encode_text
 from .transformer import TransformerModel, decode_step, encode_source, init_decoder_cache
@@ -53,11 +53,6 @@ def prediction_score(token_logprobs: list[float]) -> float:
     if not token_logprobs:
         raise ValidationError("cannot score an empty hypothesis")
     return float(math.exp(sum(token_logprobs) / len(token_logprobs)))
-
-
-def word_final_mask(tokenizer: TokenizerModel, vocab_size: int) -> np.ndarray:
-    """Boolean array over token ids: entry i is token_is_word_final(tokenizer, i)."""
-    return np.array([token_is_word_final(tokenizer, i) for i in range(vocab_size)], dtype=bool)
 
 
 def decode_batch(

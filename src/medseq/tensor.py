@@ -7,6 +7,7 @@ context the same functions run as plain numpy forward passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -184,6 +185,66 @@ def relu(x: Tensor) -> Tensor:
     return _record(np.maximum(x.data, 0), (x,), (lambda g: g * keep,))
 
 
+def _softmax_forward(
+    qs: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    bias: np.ndarray | None,
+    keep: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weights, kept weights, context) of softmax(qs kᵀ + bias) v, the
+    weights multiplied by ``keep`` when one is given."""
+    w = qs @ np.swapaxes(k, -1, -2)
+    if bias is not None:
+        w += bias
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    wk = w if keep is None else w * keep
+    return w, wk, wk @ v
+
+
+def _softmax_backward(
+    g: np.ndarray,
+    qs: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    wk: np.ndarray,
+    keep: np.ndarray | None,
+    scale: np.floating,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients for the unscaled q, k and v of ``_softmax_forward``."""
+    ds = g @ np.swapaxes(v, -1, -2)
+    if keep is not None:
+        ds *= keep
+    ds -= (ds * w).sum(axis=-1, keepdims=True)
+    ds *= w
+    return (ds @ k) * scale, np.swapaxes(ds, -1, -2) @ qs, np.swapaxes(wk, -1, -2) @ g
+
+
+def _record_qkv(
+    data: np.ndarray,
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    backward: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> Tensor:
+    """One tape node over (q, k, v) whose backward yields all three
+    gradients in one pass, memoised on the incoming gradient."""
+    memo: dict[str, object] = {}
+
+    def part(i: int) -> _BackFn:
+        def back(g: np.ndarray) -> np.ndarray:
+            if memo.get("g") is not g:
+                memo.update(g=g, grads=backward(g))
+            return memo["grads"][i]
+
+        return back
+
+    return _record(data, (q, k, v), (part(0), part(1), part(2)))
+
+
 def attention(
     q: Tensor,
     k: Tensor,
@@ -199,35 +260,107 @@ def attention(
     optional multiplicative mask on the attention weights (dropout, inverted
     scaling baked in).
     """
-    qs = q.data * q.data.dtype.type(scale)
-    scores = qs @ np.swapaxes(k.data, -1, -2)
-    if bias is not None:
-        scores += bias
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    w = e / e.sum(axis=-1, keepdims=True)
-    wk = w if keep is None else w * keep
-    memo: dict[str, np.ndarray] = {}
-
-    def d_scores(g: np.ndarray) -> np.ndarray:
-        if memo.get("g") is not g:
-            dw = g @ np.swapaxes(v.data, -1, -2)
-            if keep is not None:
-                dw *= keep
-            dw -= (dw * w).sum(axis=-1, keepdims=True)
-            dw *= w
-            memo.update(g=g, ds=dw)
-        return memo["ds"]
-
-    return _record(
-        wk @ v.data,
-        (q, k, v),
-        (
-            lambda g: (d_scores(g) @ k.data) * q.data.dtype.type(scale),
-            lambda g: np.swapaxes(d_scores(g), -1, -2) @ qs,
-            lambda g: np.swapaxes(wk, -1, -2) @ g,
-        ),
+    s = q.data.dtype.type(scale)
+    qs = q.data * s
+    w, wk, out = _softmax_forward(qs, k.data, v.data, bias, keep)
+    return _record_qkv(
+        out, q, k, v, lambda g: _softmax_backward(g, qs, k.data, v.data, w, wk, keep, s)
     )
+
+
+@dataclass(frozen=True)
+class RaggedClass:
+    """One length class of a ``RaggedPlan``: n_c records padded to L_q query
+    and L_k key positions.
+
+    ``q_slots`` (n_c, L_q) and ``k_slots`` (n_c, L_k) hold the packed row
+    of each record's position, -1 where it has none (PAD, or past its end);
+    ``bias`` is added to the class's (n_c, heads, L_q, L_k) scores.
+    """
+
+    q_slots: np.ndarray
+    k_slots: np.ndarray
+    bias: np.ndarray | None
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(n_c, L_q, L_k)."""
+        return self.q_slots.shape + self.k_slots.shape[1:]
+
+
+@dataclass(frozen=True)
+class RaggedPlan:
+    """How ``ragged_attention`` pads packed rows: one padded block per class,
+    ``heads`` heads each.  Every packed query and key row sits in exactly
+    one class."""
+
+    heads: int
+    classes: tuple[RaggedClass, ...]
+
+
+def _with_zero_row(x: np.ndarray) -> np.ndarray:
+    """x with a row of zeros appended."""
+    out = np.empty((x.shape[0] + 1,) + x.shape[1:], dtype=x.dtype)
+    out[:-1] = x
+    out[-1] = 0
+    return out
+
+
+def ragged_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    plan: RaggedPlan,
+    scale: float,
+    keeps: Sequence[np.ndarray | None] | None = None,
+) -> Tensor:
+    """``attention`` of packed query rows over packed key/value rows, padded
+    one length class at a time, as one tape node.
+
+    ``q`` is (n_q, h) and ``k``, ``v`` are (n_k, h), each row one position
+    of one record.  Each class of ``plan`` gathers its rows into
+    (n_c, heads, L, h / heads) blocks, zeros at slot -1 as in a padded
+    batch, runs the softmax with its bias and keep mask (``keeps[c]``,
+    shaped (n_c, heads, L_q, L_k), or None), and scatters its context rows
+    back: the result is (n_q, h).
+    """
+    width = q.shape[1]
+    heads = plan.heads
+    d = width // heads
+    s = q.data.dtype.type(scale)
+    keeps = keeps or [None] * len(plan.classes)
+    # Slot -1 reads the zero row at the end, and writes to a spare row there.
+    qz, kz, vz = _with_zero_row(q.data * s), _with_zero_row(k.data), _with_zero_row(v.data)
+
+    def split(x: np.ndarray) -> np.ndarray:
+        """(n_c, L, h) rows as a (n_c, heads, L, d) view."""
+        return x.reshape(x.shape[:2] + (heads, d)).transpose(0, 2, 1, 3)
+
+    def merge(into: np.ndarray, slots: np.ndarray, x: np.ndarray) -> None:
+        """Write (n_c, heads, L, d) blocks back as the rows at ``slots``."""
+        into[slots] = x.transpose(0, 2, 1, 3).reshape(slots.shape + (width,))
+
+    # Every packed row sits in one class, so the merges fill each buffer.
+    out = np.empty_like(qz)
+    saved = []
+    for cls, keep in zip(plan.classes, keeps, strict=True):
+        qc, kc, vc = split(qz[cls.q_slots]), split(kz[cls.k_slots]), split(vz[cls.k_slots])
+        w, wk, ctx = _softmax_forward(qc, kc, vc, cls.bias, keep)
+        merge(out, cls.q_slots, ctx)
+        saved.append((qc, kc, vc, w, wk))
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        gz = _with_zero_row(g)
+        dq, dk, dv = np.empty_like(qz), np.empty_like(kz), np.empty_like(vz)
+        for cls, keep, (qc, kc, vc, w, wk) in zip(plan.classes, keeps, saved):
+            gc = split(gz[cls.q_slots])
+            dqc, dkc, dvc = _softmax_backward(gc, qc, kc, vc, w, wk, keep, s)
+            merge(dq, cls.q_slots, dqc)
+            merge(dk, cls.k_slots, dkc)
+            merge(dv, cls.k_slots, dvc)
+        return dq[:-1], dk[:-1], dv[:-1]
+
+    return _record_qkv(out[:-1], q, k, v, backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -308,9 +441,18 @@ class GeneratorDropout:
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
     def mask(self, shape: tuple[int, ...], p: float, dtype: np.dtype) -> np.ndarray:
-        """Multiplicative keep mask in ``dtype``, inverted scaling baked in;
-        the uniform draws are float32."""
-        keep = self._rng.random(shape, dtype=np.float32) >= p
+        """Multiplicative keep mask in ``dtype``, inverted scaling baked in.
+
+        Each element draws a uint16 and is kept when the draw is at least
+        round(p * 65536): with probability 1 - p to within 2^-17.  A kept
+        element is exactly 1 / (1 - p) in ``dtype``.  The draws are the
+        generator's raw 64-bit outputs cut into four little-endian uint16
+        each, which costs about half of ``Generator.integers``.
+        """
+        n = math.prod(shape)
+        raw = self._rng.bit_generator.random_raw(-(-n // 4))
+        draws = raw.astype("<u8", copy=False).view("<u2")[:n].reshape(shape)
+        keep = draws >= round(p * (1 << 16))
         return np.multiply(keep, 1.0 / (1.0 - p), dtype=dtype)
 
 

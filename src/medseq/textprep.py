@@ -14,6 +14,8 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import atomic_open, read_text
 from .errors import ConfigError, ValidationError
 from .records import Certificate, Icd10Code, N_LINES, SideVariables
@@ -77,6 +79,9 @@ class TokenizerModel:
         init=False, repr=False, compare=False, default_factory=dict
     )
     _word_cache: dict[str, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _word_final: dict[int, np.ndarray] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -243,6 +248,17 @@ def token_is_word_final(model: TokenizerModel, token_id: int) -> bool:
     """True when the token closes a word (carries the boundary marker)."""
     token = model._id_to_token.get(token_id, "")
     return token.endswith(WORD_END)
+
+
+def word_final_mask(model: TokenizerModel, vocab_size: int) -> np.ndarray:
+    """Read-only boolean array over token ids: entry i is
+    token_is_word_final(model, i).  Built once per tokenizer and size."""
+    mask = model._word_final.get(vocab_size)
+    if mask is None:
+        mask = np.array([token_is_word_final(model, i) for i in range(vocab_size)], dtype=bool)
+        mask.flags.writeable = False
+        model._word_final[vocab_size] = mask
+    return mask
 
 
 # ----------------------------------------------------------------------

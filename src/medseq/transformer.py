@@ -7,9 +7,12 @@ sequence.  The decoder sees the conditioning only through cross-attention.
 
 The teacher-forced stacks keep their residual stream as packed (n, h) rows,
 one per non-PAD position, so embeddings, norms, feed-forward layers,
-projections and dropout never compute PAD.  Only attention works in the
-padded (batch, heads, len, head dim) layout, and cross-attention projects
-its keys and values from the padded encoder memory.
+projections and dropout never compute PAD.  Attention pads too, but not to
+the batch's longest record: each stack's records are cut into at most
+``_MAX_CLASSES`` length classes, and ``tensor.ragged_attention`` pads each
+class only to its own longest record.  Cross-attention projects its keys
+and values from the packed encoder rows.  The cached decoder step keeps the
+padded (rows, heads, len, head dim) layout of ``tensor.attention``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .tensor import (
     GeneratorDropout,
+    RaggedClass,
+    RaggedPlan,
     Tensor,
     add,
     attention,
@@ -32,6 +37,7 @@ from .tensor import (
     matmul,
     mul,
     put_rows,
+    ragged_attention,
     relu,
     reshape,
     take_rows,
@@ -40,6 +46,7 @@ from .tensor import (
 from .textprep import PAD_ID
 
 _MASK_BIAS = -1e9  # large negative logit bias; float32-safe
+_MAX_CLASSES = 4  # length classes per attention plan
 
 
 @dataclass(frozen=True)
@@ -233,20 +240,31 @@ def _causal_bias(length: int, dtype: np.dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Packing:
-    """Where the non-PAD positions of a (batch, len) id matrix sit.
+    """Where the non-PAD positions of a (batch, len) matrix sit.
 
     ``rows`` index the flattened matrix in row-major order.  The encoder and
     decoder stacks keep their residual stream as these packed (n, h) rows,
-    so position-wise work never touches PAD; only attention pads.
+    so position-wise work never touches PAD.  ``slots`` is the (batch, len)
+    map from position to packed row, -1 at PAD, and ``extents`` each
+    record's last non-PAD position + 1 (at least 1).
     """
 
     rows: np.ndarray
     batch: int
     length: int
+    slots: np.ndarray
+    extents: np.ndarray
 
     @classmethod
-    def of(cls, ids: np.ndarray) -> "_Packing":
-        return cls(np.flatnonzero(ids.reshape(-1) != PAD_ID), ids.shape[0], ids.shape[1])
+    def of(cls, real: np.ndarray) -> "_Packing":
+        """The packing of a boolean (batch, len) matrix, True at non-PAD."""
+        batch, length = real.shape
+        rows = np.flatnonzero(real.reshape(-1))
+        slots = np.full(batch * length, -1, dtype=np.intp)
+        slots[rows] = np.arange(rows.size)
+        ends = length - np.argmax(real[:, ::-1], axis=1)
+        extents = np.where(real.any(axis=1), ends, 1)
+        return cls(rows, batch, length, slots.reshape(batch, length), extents)
 
     def padded(self, x: Tensor) -> Tensor:
         """Packed (n, w) rows as (batch, len, w), with zeros at PAD."""
@@ -267,25 +285,67 @@ def _project(
     return _split_heads(matmul(x, params[name]), length, cfg)
 
 
+def _classes(q_ext: np.ndarray, k_ext: np.ndarray) -> list[np.ndarray]:
+    """Records cut into at most ``_MAX_CLASSES`` classes of least cost.
+
+    Records are sorted by key extent (then query extent), and classes are
+    contiguous runs of that order that never split equal key extents.  A
+    class costs its size × its longest query extent × its longest key
+    extent: the score pairs it pads to.  Among least-cost cuts the one with
+    the fewest classes wins, then the one whose cuts come first.
+    """
+    order = np.lexsort((q_ext, k_ext))
+    k_sorted = k_ext[order]
+    # Groups of equal key extent, each [edges[i], edges[i + 1]) of ``order``.
+    edges = np.append(np.flatnonzero(np.diff(k_sorted, prepend=0)), order.size)
+    m = edges.size - 1
+    # cost[i, j]: groups i..j as one class, inf where j < i.
+    top_q = np.maximum.reduceat(q_ext[order], edges[:-1])
+    upper = np.arange(m)[:, None] <= np.arange(m)
+    span_q = np.maximum.accumulate(np.where(upper, top_q, 0), axis=1)
+    size = edges[1:] - edges[:-1, None]
+    cost = np.where(upper, size * span_q * k_sorted[edges[1:] - 1], np.inf)
+    best = [cost[0]]  # best[c - 1][j]: groups 0..j in c classes
+    first = []  # first[c - 2][j]: where the last of those c classes starts
+    for _ in range(1, min(_MAX_CLASSES, m)):
+        total = best[-1][:-1, None] + cost[1:]
+        first.append(total.argmin(axis=0) + 1)
+        best.append(total.min(axis=0))
+    n_classes = int(np.argmin([b[-1] for b in best])) + 1
+    starts = [m]  # group boundaries of the classes, walked back from the end
+    for c in range(n_classes - 1, 0, -1):
+        starts.append(int(first[c - 1][starts[-1] - 1]))
+    edges = edges[[0] + starts[::-1]]
+    return [order[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _attention_plan(
+    q: _Packing, k: _Packing, bias: np.ndarray, cfg: ModelConfig
+) -> RaggedPlan:
+    """The ragged layout of attention from the rows of ``q`` over the rows
+    of ``k``, record by record; ``bias`` is the (batch, 1, 1 or t_q, t_k)
+    additive bias of the padded layout, sliced to each class."""
+    classes = []
+    for records in _classes(q.extents, k.extents):
+        t_q, t_k = int(q.extents[records].max()), int(k.extents[records].max())
+        classes.append(RaggedClass(
+            q.slots[records, :t_q], k.slots[records, :t_k], bias[records, :, :t_q, :t_k]
+        ))
+    return RaggedPlan(cfg.n_heads, tuple(classes))
+
+
 def _attend(
     q: Tensor,
     k: Tensor,
     v: Tensor,
     bias: np.ndarray | None,
     cfg: ModelConfig,
-    train: bool,
-    source: GeneratorDropout | None,
 ) -> Tensor:
     """softmax(q kᵀ / sqrt(d) + bias) v over split heads, merged into
-    (batch·t_q, h) rows, before the output projection.
-
-    The core shared by the packed stacks and the cached decoder step.
-    """
+    (batch·t_q, h) rows, before the output projection: the cached decoder
+    step's attention.  Inference only: no dropout."""
     batch, t_q = q.shape[0], q.shape[2]
-    keep = keep_mask(
-        q.shape[:3] + k.shape[2:3], cfg.attention_dropout, train, source, cfg.np_dtype
-    )
-    ctx = attention(q, k, v, bias, float(cfg.hidden_size // cfg.n_heads) ** -0.5, keep)
+    ctx = attention(q, k, v, bias, float(cfg.hidden_size // cfg.n_heads) ** -0.5)
     return reshape(transpose(ctx, (0, 2, 1, 3)), (batch * t_q, cfg.hidden_size))
 
 
@@ -293,32 +353,22 @@ def _attention(
     params: dict[str, Tensor],
     prefix: str,
     x: Tensor,
-    packing: _Packing,
-    bias: np.ndarray,
+    kv: Tensor,
+    plan: RaggedPlan,
     cfg: ModelConfig,
     train: bool,
     source: GeneratorDropout | None,
-    memory: Tensor | None = None,
 ) -> Tensor:
-    """Attention of the packed rows ``x`` over themselves, or over the
-    padded encoder ``memory`` when one is given.
-
-    The projections run on the packed rows; the queries (and own keys and
-    values) are scattered into the padded per-head layout for
-    ``attention``, and only the non-PAD rows of its output reach wo.
-    """
-
-    def heads(w: str) -> Tensor:
-        y = packing.padded(matmul(x, params[f"{prefix}.{w}"]))
-        return _split_heads(y, packing.length, cfg)
-
-    q = heads("wq")
-    if memory is None:
-        k, v = heads("wk"), heads("wv")
-    else:
-        k, v = (_project(params, f"{prefix}.{w}", memory, memory.shape[1], cfg) for w in ("wk", "wv"))
-    ctx = _attend(q, k, v, bias, cfg, train, source)
-    return matmul(take_rows(ctx, packing.rows), params[f"{prefix}.wo"])
+    """Attention of the packed rows ``x`` over the packed rows ``kv`` (``x``
+    itself for self-attention), laid out by ``plan``, through wo."""
+    q = matmul(x, params[f"{prefix}.wq"])
+    k, v = (matmul(kv, params[f"{prefix}.{w}"]) for w in ("wk", "wv"))
+    keeps = [
+        keep_mask((n, plan.heads, t_q, t_k), cfg.attention_dropout, train, source, cfg.np_dtype)
+        for n, t_q, t_k in (cls.shape for cls in plan.classes)
+    ]
+    ctx = ragged_attention(q, k, v, plan, float(cfg.hidden_size // cfg.n_heads) ** -0.5, keeps)
+    return matmul(ctx, params[f"{prefix}.wo"])
 
 
 def _ffn(
@@ -369,7 +419,7 @@ def _source_rows(
     if src_ids.shape[1] > cfg.max_src_len:
         raise ValidationError(f"source length {src_ids.shape[1]} exceeds max {cfg.max_src_len}")
     _check_side(cfg, side_idx)
-    packing = _Packing.of(src_ids)
+    packing = _Packing.of(src_ids != PAD_ID)
     at = packing.rows % packing.length
     x = _embed(model, "src_embed", model.pos_src, src_ids.reshape(-1)[packing.rows], at)
     cond = embedding_lookup(params["side_embed_0"], side_idx[:, 0])
@@ -386,6 +436,29 @@ def embed_source(model: TransformerModel, src_ids: np.ndarray, side_idx: np.ndar
     return packing.padded(x)
 
 
+def _encoder_rows(
+    model: TransformerModel,
+    src_ids: np.ndarray,
+    side_idx: np.ndarray,
+    train: bool,
+    source: GeneratorDropout | None,
+) -> tuple[Tensor, _Packing, np.ndarray]:
+    """The encoder stack on the packed non-PAD rows; returns (memory rows,
+    their packing, source padding bias)."""
+    cfg = model.config
+    params = model.parameters
+    x, packing = _source_rows(model, src_ids, side_idx, train, source)
+    src_bias = _pad_bias(np.asarray(src_ids), cfg.np_dtype)
+    plan = _attention_plan(packing, packing, src_bias, cfg)
+    for i in range(cfg.n_layers_enc):
+        y = _normed(params, f"enc{i}.attn_norm", x)
+        y = _attention(params, f"enc{i}.attn", y, y, plan, cfg, train, source)
+        x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
+        y = _ffn(params, f"enc{i}.ffn", _normed(params, f"enc{i}.ffn_norm", x), cfg, train, source)
+        x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
+    return _normed(params, "enc.final_norm", x), packing, src_bias
+
+
 def encode_source(
     model: TransformerModel,
     src_ids: np.ndarray,
@@ -396,17 +469,8 @@ def encode_source(
     """Run the encoder stack on the packed non-PAD rows; returns (memory,
     source padding bias), the memory padded to (batch, len, h) with zeros
     at PAD."""
-    cfg = model.config
-    params = model.parameters
-    x, packing = _source_rows(model, src_ids, side_idx, train, source)
-    src_bias = _pad_bias(np.asarray(src_ids), cfg.np_dtype)
-    for i in range(cfg.n_layers_enc):
-        y = _normed(params, f"enc{i}.attn_norm", x)
-        y = _attention(params, f"enc{i}.attn", y, packing, src_bias, cfg, train, source)
-        x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
-        y = _ffn(params, f"enc{i}.ffn", _normed(params, f"enc{i}.ffn_norm", x), cfg, train, source)
-        x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
-    return packing.padded(_normed(params, "enc.final_norm", x)), src_bias
+    memory, packing, src_bias = _encoder_rows(model, src_ids, side_idx, train, source)
+    return packing.padded(memory), src_bias
 
 
 def _output_logits(params: dict[str, Tensor], x: Tensor) -> Tensor:
@@ -426,23 +490,28 @@ def decode_logits(
     """Decoder stack over a (batch, len) target prefix; returns logits.
 
     This is the teacher-forced path; decoding advances with ``decode_step``.
-    The stack runs on the prefix's non-PAD rows, so the logits at PAD
+    The stack runs on the prefix's non-PAD rows, and cross-attends to the
+    memory rows that ``src_bias`` leaves unmasked, so the logits at PAD
     positions come from zero states: finite and meaningless.
     """
-    x, packing = _decoder_rows(model, memory, src_bias, tgt_in_ids, train, source)
+    src_packing = _Packing.of(src_bias[:, 0, 0, :] == 0)
+    rows = take_rows(reshape(memory, (-1, memory.shape[2])), src_packing.rows)
+    x, packing = _decoder_rows(model, rows, src_packing, src_bias, tgt_in_ids, train, source)
     return _output_logits(model.parameters, packing.padded(x))
 
 
 def _decoder_rows(
     model: TransformerModel,
     memory: Tensor,
+    src_packing: _Packing,
     src_bias: np.ndarray,
     tgt_in_ids: np.ndarray,
     train: bool,
     source: GeneratorDropout | None,
 ) -> tuple[Tensor, _Packing]:
     """The decoder layers' output on the packed non-PAD rows of
-    ``tgt_in_ids``, before the final norm."""
+    ``tgt_in_ids``, before the final norm; ``memory`` holds the encoder's
+    rows, packed by ``src_packing``."""
     cfg = model.config
     params = model.parameters
     tgt_in_ids = np.asarray(tgt_in_ids)
@@ -451,19 +520,19 @@ def _decoder_rows(
     t = tgt_in_ids.shape[1]
     if t > cfg.max_tgt_len:
         raise ValidationError(f"target length {t} exceeds max {cfg.max_tgt_len}")
-    packing = _Packing.of(tgt_in_ids)
+    packing = _Packing.of(tgt_in_ids != PAD_ID)
     ids = tgt_in_ids.reshape(-1)[packing.rows]
     x = _embed(model, "tgt_embed", model.pos_tgt, ids, packing.rows % t)
     x = dropout(x, cfg.layer_postprocess_dropout, train, source)
     self_bias = _causal_bias(t, cfg.np_dtype) + _pad_bias(tgt_in_ids, cfg.np_dtype)
+    self_plan = _attention_plan(packing, packing, self_bias, cfg)
+    cross_plan = _attention_plan(packing, src_packing, src_bias, cfg)
     for i in range(cfg.n_layers_dec):
         y = _normed(params, f"dec{i}.self_norm", x)
-        y = _attention(params, f"dec{i}.self_attn", y, packing, self_bias, cfg, train, source)
+        y = _attention(params, f"dec{i}.self_attn", y, y, self_plan, cfg, train, source)
         x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
         y = _normed(params, f"dec{i}.cross_norm", x)
-        y = _attention(
-            params, f"dec{i}.cross_attn", y, packing, src_bias, cfg, train, source, memory
-        )
+        y = _attention(params, f"dec{i}.cross_attn", y, memory, cross_plan, cfg, train, source)
         x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
         y = _ffn(params, f"dec{i}.ffn", _normed(params, f"dec{i}.ffn_norm", x), cfg, train, source)
         x = add(x, dropout(y, cfg.layer_postprocess_dropout, train, source))
@@ -550,12 +619,12 @@ def decode_step(
         k = np.concatenate([k_prev[parents], k_new.data], axis=2)
         v = np.concatenate([v_prev[parents], v_new.data], axis=2)
         cache.self_kv[i] = (k, v)
-        y = _attend(q, Tensor(k), Tensor(v), None, cfg, False, None)
+        y = _attend(q, Tensor(k), Tensor(v), None, cfg)
         x = add(x, matmul(y, params[f"dec{i}.self_attn.wo"]))
         y = _normed(params, f"dec{i}.cross_norm", x)
         q = _project(params, f"dec{i}.cross_attn.wq", y, 1, cfg)
         k_mem, v_mem = cache.row_cross[i]
-        y = _attend(q, Tensor(k_mem), Tensor(v_mem), cache.row_src_bias, cfg, False, None)
+        y = _attend(q, Tensor(k_mem), Tensor(v_mem), cache.row_src_bias, cfg)
         x = add(x, matmul(y, params[f"dec{i}.cross_attn.wo"]))
         y = _ffn(params, f"dec{i}.ffn", _normed(params, f"dec{i}.ffn_norm", x), cfg, False, None)
         x = add(x, y)
@@ -570,8 +639,9 @@ def forward(
     train: bool = False,
     source: GeneratorDropout | None = None,
 ) -> Tensor:
-    memory, src_bias = encode_source(model, src_ids, side_idx, train, source)
-    return decode_logits(model, memory, src_bias, tgt_in_ids, train, source)
+    memory, src_packing, src_bias = _encoder_rows(model, src_ids, side_idx, train, source)
+    x, packing = _decoder_rows(model, memory, src_packing, src_bias, tgt_in_ids, train, source)
+    return _output_logits(model.parameters, packing.padded(x))
 
 
 def sequence_loss(
@@ -597,8 +667,8 @@ def sequence_loss(
     dec_in = tgt_ids[:, :-1]
     if np.any((tgt_ids[:, 1:] != PAD_ID) & (dec_in == PAD_ID)):
         raise ValidationError("a target token follows a PAD in its row")
-    memory, src_bias = encode_source(model, src_ids, side_idx, train, source)
-    x, packing = _decoder_rows(model, memory, src_bias, dec_in, train, source)
+    memory, src_packing, src_bias = _encoder_rows(model, src_ids, side_idx, train, source)
+    x, packing = _decoder_rows(model, memory, src_packing, src_bias, dec_in, train, source)
     targets = tgt_ids[:, 1:].reshape(-1)[packing.rows]
     kept = np.flatnonzero(targets != PAD_ID)
     logits = _output_logits(model.parameters, take_rows(x, kept))

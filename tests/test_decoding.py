@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from medseq import decoding
+from medseq import decoding, textprep
 from medseq.decoding import (
     MAX_CODES,
     Prediction,
@@ -178,6 +178,19 @@ class TestBatchedDecoding:
         assert mask.tolist() == [token_is_word_final(tgt_tok, i) for i in range(size)]
         assert not mask[[PAD_ID, BOS_ID, EOS_ID, UNK_ID]].any()
         assert mask.any()
+
+    def test_word_final_mask_is_built_once_per_tokenizer(self, toy_data, monkeypatch):
+        tgt_tok = toy_data[3]
+        tgt_tok = type(tgt_tok)(merges=tgt_tok.merges, vocab=tgt_tok.vocab)  # a fresh cache
+        calls = []
+        real = textprep.token_is_word_final
+        monkeypatch.setattr(textprep, "token_is_word_final",
+                            lambda tok, i: calls.append(i) or real(tok, i))
+        first = word_final_mask(tgt_tok, tgt_tok.size)
+        assert len(calls) == tgt_tok.size
+        assert word_final_mask(tgt_tok, tgt_tok.size) is first
+        assert len(calls) == tgt_tok.size
+        assert not first.flags.writeable
 
 
 def _all_finished(model, tokenizer, src, side, alpha, max_codes):

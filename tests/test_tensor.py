@@ -13,6 +13,8 @@ from medseq import tensor
 from medseq.errors import ShapeError, ValidationError
 from medseq.tensor import (
     GeneratorDropout,
+    RaggedClass,
+    RaggedPlan,
     Tape,
     Tensor,
     add,
@@ -25,6 +27,7 @@ from medseq.tensor import (
     matmul,
     mul,
     put_rows,
+    ragged_attention,
     reduce_sum,
     relu,
     reshape,
@@ -392,6 +395,112 @@ class TestAttention:
         assert len(tape._nodes) == 1
 
 
+def extents(real: np.ndarray) -> np.ndarray:
+    """Each record's last real position + 1, at least 1."""
+    ends = real.shape[1] - np.argmax(real[:, ::-1], axis=1)
+    return np.where(real.any(axis=1), ends, 1)
+
+
+def make_plan(q_real, k_real, bias, classes, heads):
+    """A RaggedPlan for the real (non-PAD) positions of a padded layout:
+    rows packed in row-major order, one class per list of records."""
+    slots = []
+    for real in (q_real, k_real):
+        s = np.full(real.shape, -1)
+        s[real] = np.arange(real.sum())
+        slots.append(s)
+    out = []
+    for records in map(np.asarray, classes):
+        t_q, t_k = extents(q_real[records]).max(), extents(k_real[records]).max()
+        out.append(RaggedClass(slots[0][records, :t_q], slots[1][records, :t_k],
+                               bias[records, :, :t_q, :t_k]))
+    return RaggedPlan(heads, tuple(out))
+
+
+def padded_attention(q, k, v, q_real, k_real, bias, heads, scale, keep):
+    """The packed rows scattered into the padded (batch, heads, len, d)
+    layout, zeros at PAD, through ``attention``, and the real rows back."""
+    d = q.shape[1] // heads
+
+    def split(x, real):
+        full = put_rows(x, np.flatnonzero(real), real.size)
+        return transpose(reshape(full, real.shape + (heads, d)), (0, 2, 1, 3))
+
+    ctx = attention(split(q, q_real), split(k, k_real), split(v, k_real), bias, scale, keep)
+    rows = reshape(transpose(ctx, (0, 2, 1, 3)), (q_real.size, q.shape[1]))
+    return take_rows(rows, np.flatnonzero(q_real))
+
+
+def ragged_case(name, with_keep):
+    """(q, k, v, plan, keeps, reference keyword arguments) in float64."""
+    heads, width = 2, 6
+    self_real = np.array([
+        [1, 1, 0, 1, 1, 0],  # interior PAD
+        [1, 0, 0, 0, 0, 0],  # extent 1
+        [1, 1, 1, 1, 1, 1],
+        [1, 1, 1, 0, 0, 0],
+    ], dtype=bool)
+    pad = np.where(self_real, 0.0, -1e9)[:, None, None, :]
+    if name == "self":
+        q_real, k_real, bias = self_real, self_real, pad
+        classes = [[1], [3, 0], [2]]  # a class of one record, the extent-1 record
+    elif name == "causal":
+        q_real, k_real = self_real, self_real
+        bias = pad + np.triu(np.full((6, 6), -1e9), k=1)
+        classes = [[1, 3], [0, 2]]
+    else:  # cross: 3 queries over 5 keys, record 2 with no key at all
+        q_real = np.array([[1, 1, 0], [1, 1, 1], [1, 0, 0]], dtype=bool)
+        k_real = np.array([[1, 1, 1, 1, 0], [1, 0, 1, 0, 0], [0, 0, 0, 0, 0]], dtype=bool)
+        bias = np.where(k_real, 0.0, -1e9)[:, None, None, :]
+        classes = [[2, 1], [0]]
+    rng = np.random.default_rng(len(name))
+    q, k, v = rnd(rng, q_real.sum(), width), rnd(rng, k_real.sum(), width), rnd(rng, k_real.sum(), width)
+    plan = make_plan(q_real, k_real, bias, classes, heads)
+    keep, keeps = None, None
+    if with_keep:
+        keep = GeneratorDropout(7).mask((len(q_real), heads) + q_real.shape[1:] + k_real.shape[1:],
+                                        0.3, np.dtype("float64"))
+        keeps = [keep[np.asarray(c)][:, :, : cls.shape[1], : cls.shape[2]]
+                 for c, cls in zip(classes, plan.classes)]
+    reference = dict(q_real=q_real, k_real=k_real, bias=bias, heads=heads, keep=keep)
+    return q, k, v, plan, keeps, reference
+
+
+class TestRaggedAttention:
+    """The per-class padded op against attention over the whole padded
+    batch, in float64."""
+
+    @pytest.mark.parametrize("name", ["self", "causal", "cross"])
+    @pytest.mark.parametrize("with_keep", [False, True])
+    def test_matches_padded_attention(self, name, with_keep):
+        q, k, v, plan, keeps, ref = ragged_case(name, with_keep)
+        g = Tensor(np.random.default_rng(9).standard_normal(q.shape))
+        params = {"q": q, "k": k, "v": v}
+        results = []
+        for f in (lambda: ragged_attention(q, k, v, plan, 0.4, keeps),
+                  lambda: padded_attention(q, k, v, scale=0.4, **ref)):
+            with Tape() as tape:
+                out = f()
+                results.append((out.data, tape.gradients(reduce_sum(mul(out, g)), params)))
+        (got, got_grads), (want, want_grads) = results
+        assert got.shape == q.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for p in params:
+            np.testing.assert_allclose(got_grads[p], want_grads[p], rtol=0, atol=1e-12, err_msg=p)
+
+    def test_finite_differences(self):
+        q, k, v, plan, keeps, _ = ragged_case("causal", True)
+        w = Tensor(np.random.default_rng(10).standard_normal(q.shape))
+        check(lambda: reduce_sum(mul(ragged_attention(q, k, v, plan, 0.4, keeps), w)),
+              {"q": q, "k": k, "v": v})
+
+    def test_is_one_tape_node(self):
+        q, k, v, plan, keeps, _ = ragged_case("cross", True)
+        with Tape() as tape:
+            ragged_attention(q, k, v, plan, 0.4, keeps)
+        assert len(tape._nodes) == 1
+
+
 class TestRowGathers:
     """take_rows and put_rows, the packed <-> padded moves of the model."""
 
@@ -520,7 +629,7 @@ class TestDropout:
         np.testing.assert_allclose(grads["x"][~zeros], 1.0 / 0.6, rtol=1e-12)
 
 
-    def test_masks_are_float32_draws_in_the_model_dtype(self):
+    def test_masks_take_the_model_dtype_from_the_same_draws(self):
         m32 = GeneratorDropout((7, 3)).mask((40, 30), 0.25, np.dtype("float32"))
         m64 = GeneratorDropout((7, 3)).mask((40, 30), 0.25, np.dtype("float64"))
         assert m32.dtype == np.float32 and m64.dtype == np.float64

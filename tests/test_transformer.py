@@ -6,11 +6,13 @@ logits bit-exact; zeroed side tables make side values irrelevant), loss
 composition, and an end-to-end gradient check against finite differences.
 """
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from medseq import transformer
 from medseq.errors import ConfigError, ValidationError
 from medseq.tensor import (
     GeneratorDropout,
@@ -602,6 +604,81 @@ class TestPackedRows:
         tgt[0] = [BOS_ID, PAD_ID, 5, EOS_ID, PAD_ID]
         with pytest.raises(ValidationError):
             sequence_loss(model, src, side, tgt)
+
+
+def plan_cost(classes, q_ext, k_ext) -> int:
+    """Score pairs the classes pad to: Σ size × longest query × longest key."""
+    return sum(len(c) * q_ext[c].max() * k_ext[c].max() for c in classes)
+
+
+def random_extents(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    q_ext = rng.integers(1, int(rng.integers(2, 12)), size=n)
+    k_ext = q_ext if seed % 2 else rng.integers(1, int(rng.integers(2, 18)), size=n)
+    return q_ext, k_ext
+
+
+class TestAttentionPlan:
+    """The length classes that ragged attention pads to."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_at_most_four_contiguous_classes_covering_every_record(self, seed):
+        q_ext, k_ext = random_extents(seed)
+        classes = transformer._classes(q_ext, k_ext)
+        assert 1 <= len(classes) <= 4
+        assert sorted(np.concatenate(classes).tolist()) == list(range(len(q_ext)))
+        for a, b in zip(classes, classes[1:]):
+            assert k_ext[a].max() < k_ext[b].min()  # contiguous in extent order
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cost_is_least_over_contiguous_cuts(self, seed):
+        q_ext, k_ext = random_extents(seed)
+        cost = plan_cost(transformer._classes(q_ext, k_ext), q_ext, k_ext)
+        assert cost <= plan_cost([np.arange(len(q_ext))], q_ext, k_ext)
+        distinct = np.unique(k_ext)
+        for n_cuts in range(min(3, len(distinct) - 1) + 1):
+            for cuts in itertools.combinations(distinct[1:], n_cuts):
+                edges = (distinct[0],) + cuts + (distinct[-1] + 1,)
+                split = [np.flatnonzero((k_ext >= lo) & (k_ext < hi))
+                         for lo, hi in zip(edges, edges[1:])]
+                assert cost <= plan_cost(split, q_ext, k_ext)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_permuting_records_permutes_classes(self, seed):
+        q_ext, k_ext = random_extents(seed)
+        perm = np.random.default_rng(seed + 100).permutation(len(q_ext))
+        base = transformer._classes(q_ext, k_ext)
+        permuted = transformer._classes(q_ext[perm], k_ext[perm])
+        assert [sorted(perm[c].tolist()) for c in permuted] == [sorted(c.tolist()) for c in base]
+
+    def test_attention_masks_cover_exactly_the_class_shapes(self, monkeypatch):
+        cfg = tiny_cfg(n_layers_enc=2, n_layers_dec=2, attention_dropout=0.1)
+        model = init_model(cfg, seed=25)
+        src, side, tgt = rand_batch(cfg, np.random.default_rng(25), batch=6, src_len=7, tgt_len=7)
+        for i, n in enumerate([7, 1, 3, 3, 5, 2]):
+            src[i, n:] = PAD_ID
+        shapes = []
+        real_mask = GeneratorDropout.mask
+        monkeypatch.setattr(GeneratorDropout, "mask",
+                            lambda self, shape, p, dtype: shapes.append(shape)
+                            or real_mask(self, shape, p, dtype))
+        sequence_loss(model, src, side, tgt, train=True, source=GeneratorDropout(1))
+        src_pack = transformer._Packing.of(src != PAD_ID)
+        tgt_pack = transformer._Packing.of(tgt[:, :-1] != PAD_ID)
+        bias = np.zeros((len(src), 1, 1, 7))
+        per_layer = {
+            name: sum(n * cfg.n_heads * t_q * t_k
+                      for n, t_q, t_k in (c.shape for c in transformer._attention_plan(
+                          q, k, bias, cfg).classes))
+            for name, q, k in (("enc", src_pack, src_pack), ("self", tgt_pack, tgt_pack),
+                               ("cross", tgt_pack, src_pack))
+        }
+        want = cfg.n_layers_enc * per_layer["enc"] + cfg.n_layers_dec * (
+            per_layer["self"] + per_layer["cross"])
+        assert sum(int(np.prod(s)) for s in shapes if len(s) == 4) == want
+        padded = cfg.n_heads * len(src) * (7 * 7 * cfg.n_layers_enc + (6 * 6 + 6 * 7) * cfg.n_layers_dec)
+        assert want < padded
 
 
 class TestGradient:
