@@ -180,9 +180,120 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.data @ b.data, (a, b), (back_a, back_b))
 
 
-def relu(x: Tensor) -> Tensor:
-    keep = x.data > 0
-    return _record(np.maximum(x.data, 0), (x,), (lambda g: g * keep,))
+def _row_sum(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Sums over the last axis of x (of x * y, when given), shaped (..., 1).
+
+    einsum adds each row in its own inner loop, so a row's sum has the same
+    bits whatever the number of rows; numpy's reduce costs several times
+    more on short rows.  A BLAS matrix-vector product with ones would be
+    faster still, but OpenBLAS picks kernels by the matrix's row count and
+    so returns different bits for the same row in a longer array, which
+    breaks bit-exact causality.
+    """
+    if y is None:
+        return np.einsum("...i->...", x)[..., None]
+    return np.einsum("...i,...i->...", x, y)[..., None]
+
+
+def _lead_sum(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Sums over every axis but the last of x (of x * y, when given): the
+    gradient of a bias or gain broadcast over rows."""
+    x2 = x.reshape(-1, x.shape[-1])
+    if y is None:
+        return np.einsum("ri->i", x2)
+    return np.einsum("ri,ri->i", x2, y.reshape(x2.shape))
+
+
+# ``_row_max`` halves columns only on arrays of at least this many rows, each
+# at most this wide; elsewhere numpy's reduce was as fast or faster.
+_HALVING_MIN_ROWS = 192
+_HALVING_MAX_WIDTH = 16
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True), exactly.
+
+    numpy's reduce pays a fixed cost per row, which dominates on short rows;
+    many short rows instead take elementwise maxima of two overlapping
+    column halves until one column is left.  Each row's max is still one of
+    its own entries, so the result is the same array.
+    """
+    width = x.shape[-1]
+    if width > _HALVING_MAX_WIDTH or x.size < _HALVING_MIN_ROWS * width:
+        return x.max(axis=-1, keepdims=True)
+    while width > 1:
+        half = (width + 1) // 2
+        x = np.maximum(x[..., :half], x[..., width - half :])
+        width = half
+    return x
+
+
+def _record_joint(
+    data: np.ndarray,
+    parents: tuple[Tensor, ...],
+    backward: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+) -> Tensor:
+    """One tape node over ``parents`` whose backward yields all their
+    gradients in one pass, memoised on the incoming gradient."""
+    if _ACTIVE_TAPE is None:
+        return Tensor(data)
+    memo: dict[str, object] = {}
+
+    def part(i: int) -> _BackFn:
+        def back(g: np.ndarray) -> np.ndarray:
+            if memo.get("g") is not g:
+                memo.update(g=g, grads=backward(g))
+            return memo["grads"][i]
+
+        return back
+
+    return _record(data, parents, tuple(part(i) for i in range(len(parents))))
+
+
+def feed_forward(
+    x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, keep: np.ndarray | None = None
+) -> Tensor:
+    """relu(x @ w1 + b1) * keep @ w2 + b2 as one tape node.
+
+    ``keep`` is an optional multiplicative dropout mask on the hidden
+    units, shaped like them, (..., ffn size).  ReLU and ``keep`` fold into
+    one float mask, applied once forward and once backward; without
+    ``keep`` the ReLU runs in place and the backward masks with h > 0.
+    """
+    if not (
+        w1.data.ndim == w2.data.ndim == 2
+        and x.shape[-1] == w1.shape[0]
+        and b1.shape == w1.shape[1:] == w2.shape[:1]
+        and b2.shape == w2.shape[1:]
+    ):
+        raise ShapeError(
+            f"feed_forward: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}"
+        )
+    x2 = x.data.reshape(-1, x.shape[-1])
+    h = x2 @ w1.data
+    h += b1.data
+    if keep is None:
+        mask = None
+        np.maximum(h, 0, out=h)
+    else:
+        mask = np.multiply(h > 0, keep.reshape(h.shape), dtype=h.dtype)
+        h *= mask
+    out = h @ w2.data
+    out += b2.data
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        g2 = g.reshape(out.shape)
+        dh = g2 @ w2.data.T
+        dh *= (h > 0) if mask is None else mask
+        return (
+            (dh @ w1.data.T).reshape(x.shape),
+            x2.T @ dh,
+            _lead_sum(dh),
+            h.T @ g2,
+            _lead_sum(g2),
+        )
+
+    return _record_joint(out.reshape(x.shape[:-1] + w2.shape[1:]), (x, w1, b1, w2, b2), backward)
 
 
 def _softmax_forward(
@@ -197,9 +308,9 @@ def _softmax_forward(
     w = qs @ np.swapaxes(k, -1, -2)
     if bias is not None:
         w += bias
-    w -= w.max(axis=-1, keepdims=True)
+    w -= _row_max(w)
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= _row_sum(w)
     wk = w if keep is None else w * keep
     return w, wk, wk @ v
 
@@ -218,31 +329,9 @@ def _softmax_backward(
     ds = g @ np.swapaxes(v, -1, -2)
     if keep is not None:
         ds *= keep
-    ds -= (ds * w).sum(axis=-1, keepdims=True)
+    ds -= _row_sum(ds, w)
     ds *= w
     return (ds @ k) * scale, np.swapaxes(ds, -1, -2) @ qs, np.swapaxes(wk, -1, -2) @ g
-
-
-def _record_qkv(
-    data: np.ndarray,
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    backward: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> Tensor:
-    """One tape node over (q, k, v) whose backward yields all three
-    gradients in one pass, memoised on the incoming gradient."""
-    memo: dict[str, object] = {}
-
-    def part(i: int) -> _BackFn:
-        def back(g: np.ndarray) -> np.ndarray:
-            if memo.get("g") is not g:
-                memo.update(g=g, grads=backward(g))
-            return memo["grads"][i]
-
-        return back
-
-    return _record(data, (q, k, v), (part(0), part(1), part(2)))
 
 
 def attention(
@@ -263,8 +352,8 @@ def attention(
     s = q.data.dtype.type(scale)
     qs = q.data * s
     w, wk, out = _softmax_forward(qs, k.data, v.data, bias, keep)
-    return _record_qkv(
-        out, q, k, v, lambda g: _softmax_backward(g, qs, k.data, v.data, w, wk, keep, s)
+    return _record_joint(
+        out, (q, k, v), lambda g: _softmax_backward(g, qs, k.data, v.data, w, wk, keep, s)
     )
 
 
@@ -360,7 +449,7 @@ def ragged_attention(
             merge(dv, cls.k_slots, dvc)
         return dq[:-1], dk[:-1], dv[:-1]
 
-    return _record_qkv(out[:-1], q, k, v, backward)
+    return _record_joint(out[:-1], (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -369,24 +458,32 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} must match last axis of {x.shape}"
         )
-    # Means as sum / n: the same bits as np.mean without its Python wrapper.
     n = x.shape[-1]
-    d = x.data - x.data.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((d * d).sum(axis=-1, keepdims=True) / n + eps)
-    y = d * inv
-    out = gain.data * y + bias.data
-    lead = tuple(range(x.data.ndim - 1))
+    y = x.data - _row_sum(x.data) / n
+    inv = _row_sum(y, y)
+    inv /= n
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    y *= inv
+    out = gain.data * y
+    out += bias.data
 
     def back_x(g: np.ndarray) -> np.ndarray:
         dy = g * gain.data
-        m1 = dy.sum(axis=-1, keepdims=True) / n
-        m2 = (dy * y).sum(axis=-1, keepdims=True) / n
-        return inv * (dy - m1 - y * m2)
+        m1 = _row_sum(dy)
+        m1 /= n
+        m2 = _row_sum(dy, y)
+        m2 /= n
+        dy -= m1
+        dy -= y * m2
+        dy *= inv
+        return dy
 
     return _record(
         out.astype(x.dtype, copy=False),
         (x, gain, bias),
-        (back_x, lambda g: (g * y).sum(axis=lead), lambda g: g.sum(axis=lead)),
+        (back_x, lambda g: _lead_sum(g, y), _lead_sum),
     )
 
 

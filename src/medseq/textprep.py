@@ -84,6 +84,7 @@ class TokenizerModel:
     _word_final: dict[int, np.ndarray] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _fingerprint: str | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self._ranks = {pair: i for i, pair in enumerate(self.merges)}
@@ -370,5 +371,8 @@ def load_tokenizer(path) -> TokenizerModel:
 
 
 def tokenizer_fingerprint(model: TokenizerModel) -> str:
-    """Content hash used by checkpoints to pin their tokenizers."""
-    return hashlib.sha256(tokenizer_dumps(model).encode("utf-8")).hexdigest()
+    """Content hash used by checkpoints to pin their tokenizers: the SHA-256
+    of ``tokenizer_dumps``, taken once per tokenizer."""
+    if model._fingerprint is None:
+        model._fingerprint = hashlib.sha256(tokenizer_dumps(model).encode("utf-8")).hexdigest()
+    return model._fingerprint

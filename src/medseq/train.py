@@ -123,11 +123,22 @@ def adam_step(
             raise ShapeError(f"gradient for {name}: {g.shape} vs parameter {p.data.shape}")
         m = state.m[name]
         v = state.v[name]
+        # p -= rate * (m / bc1) / (sqrt(v / bc2) + eps), in that order, in
+        # two scratch arrays: the same bits as the expression, fewer copies.
+        step, den = np.empty_like(m), np.empty_like(v)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p.data -= rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        np.multiply(g, g, out=den)
+        den *= 1.0 - ADAM_BETA2
+        v += den
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        np.divide(m, bc1, out=step)
+        step *= rate
+        step /= den
+        p.data -= step
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,13 @@ from .tensor import (
     cross_entropy,
     dropout,
     embedding_lookup,
+    feed_forward,
     keep_mask,
     layer_norm,
     matmul,
     mul,
     put_rows,
     ragged_attention,
-    relu,
     reshape,
     take_rows,
     transpose,
@@ -379,9 +379,9 @@ def _ffn(
     train: bool,
     source: GeneratorDropout | None,
 ) -> Tensor:
-    h = relu(add(matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    h = dropout(h, cfg.relu_dropout, train, source)
-    return add(matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    keep = keep_mask(x.shape[:-1] + (cfg.ffn_size,), cfg.relu_dropout, train, source, cfg.np_dtype)
+    w1, b1, w2, b2 = (params[f"{prefix}.{w}"] for w in ("w1", "b1", "w2", "b2"))
+    return feed_forward(x, w1, b1, w2, b2, keep)
 
 
 def _normed(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:

@@ -22,14 +22,15 @@ from medseq.tensor import (
     cross_entropy,
     dropout,
     embedding_lookup,
+    feed_forward,
     finite_diff_check,
+    keep_mask,
     layer_norm,
     matmul,
     mul,
     put_rows,
     ragged_attention,
     reduce_sum,
-    relu,
     reshape,
     take_rows,
     transpose,
@@ -68,12 +69,15 @@ class TestForwardValues:
         out = attention_weights(Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((7, 3))))
         np.testing.assert_allclose(out.sum(-1), np.ones(4), atol=1e-12)
 
-    def test_relu_zero_grad_below_zero(self):
-        x = Tensor(np.array([-2.0, -0.5, 0.5]))
+    def test_feed_forward_zero_grad_below_zero(self):
+        # identity weights, zero biases: the node is the ReLU itself
+        x = Tensor(np.array([[-2.0, -0.5, 0.5]]))
+        eye, zero = Tensor(np.eye(3)), Tensor(np.zeros(3))
         with Tape() as tape:
-            loss = reduce_sum(relu(x))
-            grads = tape.gradients(loss, {"x": x})
-        np.testing.assert_array_equal(grads["x"], [0.0, 0.0, 1.0])
+            out = feed_forward(x, eye, zero, eye, zero)
+            grads = tape.gradients(reduce_sum(out), {"x": x})
+        np.testing.assert_array_equal(out.data, [[0.0, 0.0, 0.5]])
+        np.testing.assert_array_equal(grads["x"], [[0.0, 0.0, 1.0]])
 
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((2, 5)))
@@ -188,12 +192,12 @@ class TestFiniteDiffCheckItself:
             "w1": rnd(rng, 4, 6),
             "b1": rnd(rng, 6),
             "w2": rnd(rng, 6, 2),
+            "b2": rnd(rng, 2),
         }
         x = rng.standard_normal((3, 4))
 
         def f():
-            h = relu(add(matmul(Tensor(x), params["w1"]), params["b1"]))
-            return reduce_sum(matmul(h, params["w2"]))
+            return reduce_sum(feed_forward(Tensor(x), *params.values()))
 
         result = finite_diff_check(f, params)
         assert result.max_rel_error < 1e-6
@@ -241,11 +245,16 @@ class TestPrimitiveGradients:
         check(lambda: reduce_sum(matmul(a, b)), {"a": a, "b": b})
 
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(1, 5))
-    def test_relu(self, seed, n):
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 4), with_keep=st.booleans())
+    def test_feed_forward(self, seed, n, with_keep):
         rng = np.random.default_rng(seed)
-        x = rnd(rng, n, avoid_zero=True)  # keep coordinates away from the kink
-        check(lambda: reduce_sum(mul(relu(x), relu(x))), {"x": x})
+        params = {"x": rnd(rng, n, 3), "w1": rnd(rng, 3, 5), "b1": rnd(rng, 5),
+                  "w2": rnd(rng, 5, 2), "b2": rnd(rng, 2)}
+        keep = GeneratorDropout(seed).mask((n, 5), 0.3, np.dtype("float64")) if with_keep else None
+        w = Tensor(rng.standard_normal((n, 2)))
+        # A random hidden unit within a finite-difference step of the ReLU
+        # kink is vanishingly unlikely.
+        check(lambda: reduce_sum(mul(feed_forward(*params.values(), keep), w)), params)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), rows=st.integers(1, 3), cols=st.integers(2, 5))
@@ -499,6 +508,122 @@ class TestRaggedAttention:
         with Tape() as tape:
             ragged_attention(q, k, v, plan, 0.4, keeps)
         assert len(tape._nodes) == 1
+
+
+def composed_feed_forward(x, w1, b1, w2, b2, p, source):
+    """The five tape nodes ``feed_forward`` replaced: matmul, bias add, ReLU,
+    dropout at rate p (off when ``source`` is None), matmul plus bias add.
+    The ReLU is x times the constant mask x > 0."""
+    pre = add(matmul(x, w1), b1)
+    h = mul(pre, (pre.data > 0).astype(pre.dtype))
+    h = dropout(h, p, source is not None, source)
+    return add(matmul(h, w2), b2)
+
+
+class TestFeedForward:
+    """The fused node against the composed ops it replaced, in float64."""
+
+    def _params(self, lead):
+        rng = np.random.default_rng(len(lead))
+        return {"x": rnd(rng, *lead, 6), "w1": rnd(rng, 6, 10), "b1": rnd(rng, 10),
+                "w2": rnd(rng, 10, 6), "b2": rnd(rng, 6)}
+
+    @pytest.mark.parametrize("lead", [(7,), (3, 4)])
+    @pytest.mark.parametrize("with_keep", [False, True])
+    def test_matches_composed_ops(self, lead, with_keep):
+        params = self._params(lead)
+        g = Tensor(np.random.default_rng(8).standard_normal(lead + (6,)))
+        source = (lambda: GeneratorDropout(5)) if with_keep else (lambda: None)
+        # The keep mask comes from a generator in the state the composed
+        # dropout's generator starts in: the same draws, the same mask.
+        keep = keep_mask(lead + (10,), 0.3, with_keep, source(), np.dtype("float64"))
+        results = []
+        for f in (lambda: feed_forward(*params.values(), keep),
+                  lambda: composed_feed_forward(*params.values(), 0.3, source())):
+            with Tape() as tape:
+                out = f()
+                results.append((out.data, tape.gradients(reduce_sum(mul(out, g)), params)))
+        (got, got_grads), (want, want_grads) = results
+        assert got.shape == want.shape == lead + (6,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for name in params:
+            np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_finite_differences(self):
+        params = self._params((3, 4))
+        keep = GeneratorDropout(6).mask((3, 4, 10), 0.3, np.dtype("float64"))
+        w = Tensor(np.random.default_rng(9).standard_normal((3, 4, 6)))
+        check(lambda: reduce_sum(mul(feed_forward(*params.values(), keep), w)), params)
+
+    def test_is_one_tape_node(self):
+        params = self._params((5,))
+        keep = GeneratorDropout(7).mask((5, 10), 0.3, np.dtype("float64"))
+        with Tape() as tape:
+            feed_forward(*params.values(), keep)
+        assert len(tape._nodes) == 1
+
+    def test_shape_mismatch_rejected(self):
+        params = self._params((5,))
+        with pytest.raises(ShapeError):
+            feed_forward(params["x"], params["w1"], params["b1"], params["w1"], params["b2"])
+
+
+class TestRowReductions:
+    """The short-axis row sum and row max inside layer_norm and the softmax.
+
+    Bit-exact causality needs each row's result to have the same bits
+    whatever other rows share its array: a longer target prefix must not
+    change an earlier position.  Row sums therefore run through einsum and
+    never through BLAS (``x @ ones``): OpenBLAS picks its matrix-vector
+    kernel by the number of rows, so the same row summed inside arrays of
+    different lengths came out with different bits (on one thread, 16 to 19
+    of the 36 prefixes of each of three random 37 x 64 float32 arrays
+    differed from the full array in some row).
+    """
+
+    N = 40  # records; each has several rows
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1, 2, 5, 12, 16, 17, 64])
+    @pytest.mark.parametrize("inner", [(6,), (2, 3)])
+    def test_each_row_ignores_the_other_rows(self, dtype, width, inner):
+        # N records of 6 rows each: 240 rows, above the halving threshold
+        # of the row max, while short prefixes fall below it.
+        assert self.N * 6 > tensor._HALVING_MIN_ROWS
+        rng = np.random.default_rng(width)
+        x = rng.standard_normal((self.N,) + inner + (width,)).astype(dtype)
+        y = rng.standard_normal(x.shape).astype(dtype)
+        reductions = [tensor._row_sum, lambda a: tensor._row_sum(a, y[: len(a)]), tensor._row_max]
+        for reduce in reductions:
+            full = reduce(x)
+            assert full.shape == x.shape[:-1] + (1,) and full.dtype == dtype
+            for k in range(1, self.N + 1):
+                assert reduce(x[:k]).tobytes() == full[:k].tobytes(), k
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_sums_agree_with_numpy(self, dtype):
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((2, 300, 24)).astype(dtype)
+        rtol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(tensor._row_sum(x), x.sum(-1, keepdims=True),
+                                   rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(tensor._row_sum(x, y), (x * y).sum(-1, keepdims=True),
+                                   rtol=rtol, atol=rtol)
+
+    @pytest.mark.parametrize("rows", [1, 7, tensor._HALVING_MIN_ROWS - 1,
+                                      tensor._HALVING_MIN_ROWS, 1000])
+    def test_row_max_equals_numpy_max(self, rows):
+        rng = np.random.default_rng(rows)
+        for width in range(1, 34):
+            for shape in [(rows, width), (rows, 2, 1, width)]:
+                x = rng.standard_normal(shape).astype(np.float32)
+                x += np.where(rng.random(shape) < 0.4, np.float32(-1e9), np.float32(0))
+                x[0] = -1e9  # a row with every key masked
+                want = x.max(axis=-1, keepdims=True)
+                got = tensor._row_max(x)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (shape, width)
 
 
 class TestRowGathers:

@@ -13,7 +13,8 @@ import pytest
 from medseq.decoding import greedy_decode
 from medseq.errors import ConfigError, DivergenceError, ShapeError, ValidationError
 from medseq.tensor import Tensor
-from medseq.textprep import BOS_ID, EOS_ID, PAD_ID
+from medseq import textprep
+from medseq.textprep import BOS_ID, EOS_ID, PAD_ID, tokenizer_dumps, tokenizer_loads
 from medseq.train import (
     Checkpoint,
     LogEntry,
@@ -113,6 +114,40 @@ class TestAdamStep:
         state = OptimizerState.for_params(params)
         with pytest.raises(ShapeError):
             adam_step(params, {"x": np.zeros(4)}, state, rate=0.1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_the_one_line_update(self, dtype):
+        def reference_step(params, grads, state, rate):
+            """The update as one expression per moment and one for the step."""
+            state.step += 1
+            bc1 = 1.0 - train_module.ADAM_BETA1 ** state.step
+            bc2 = 1.0 - train_module.ADAM_BETA2 ** state.step
+            for name, p in params.items():
+                g, m, v = grads[name], state.m[name], state.v[name]
+                m *= train_module.ADAM_BETA1
+                m += (1.0 - train_module.ADAM_BETA1) * g
+                v *= train_module.ADAM_BETA2
+                v += (1.0 - train_module.ADAM_BETA2) * (g * g)
+                p.data -= rate * (m / bc1) / (np.sqrt(v / bc2) + train_module.ADAM_EPS)
+
+        rng = np.random.default_rng(4)
+        init = {"w": rng.standard_normal((5, 3)), "b": rng.standard_normal(3)}
+        runs = []
+        for step_fn in (adam_step, reference_step):
+            params = {k: Tensor(a.astype(dtype)) for k, a in init.items()}
+            state = OptimizerState.for_params(params)
+            grad_rng = np.random.default_rng(5)
+            for step in range(1, 7):
+                grads = {k: (grad_rng.standard_normal(a.shape) * 10.0 ** -step).astype(dtype)
+                         for k, a in init.items()}
+                step_fn(params, grads, state, learning_rate(step, 64, 2.0, 4))
+            runs.append((params, state))
+        (params, state), (ref_params, ref_state) = runs
+        for k in init:
+            assert params[k].data.dtype == dtype
+            assert params[k].data.tobytes() == ref_params[k].data.tobytes(), k
+            assert state.m[k].tobytes() == ref_state.m[k].tobytes(), k
+            assert state.v[k].tobytes() == ref_state.v[k].tobytes(), k
 
 
 class TestTrainConfig:
@@ -401,6 +436,28 @@ class TestTrainLoop:
             result = train(model, pairs, pairs, src_tok, tgt_tok, tcfg)
             shas.append(checkpoint_sha256(result.checkpoint))
         assert shas[0] == shas[1]
+
+    def test_tokenizers_are_serialized_once_each(self, toy_data, monkeypatch):
+        _, pairs, src_tok, tgt_tok = toy_data
+        # Fresh copies: the session's tokenizers may already hold their digest.
+        src_tok, tgt_tok = (tokenizer_loads(tokenizer_dumps(t)) for t in (src_tok, tgt_tok))
+        calls = []
+
+        def spy(model):
+            calls.append(model)
+            return tokenizer_dumps(model)
+
+        monkeypatch.setattr(textprep, "tokenizer_dumps", spy)
+        cfg = ModelConfig(src_vocab_size=src_tok.size, tgt_vocab_size=tgt_tok.size, **TOY_MODEL_CFG)
+        tcfg = TrainConfig(max_steps=1, batch_size=8, eval_every=0)
+        ckpts = [train(init_model(cfg, seed=4), pairs, [], src_tok, tgt_tok, tcfg).checkpoint
+                 for _ in range(2)]
+        assert len(calls) == 2 and {id(t) for t in calls} == {id(src_tok), id(tgt_tok)}
+        for ckpt in ckpts:
+            assert ckpt.src_tok_sha256 == hashlib.sha256(
+                tokenizer_dumps(src_tok).encode("utf-8")).hexdigest()
+            assert ckpt.tgt_tok_sha256 == hashlib.sha256(
+                tokenizer_dumps(tgt_tok).encode("utf-8")).hexdigest()
 
     def test_divergence_detected(self, toy_data):
         _, pairs, src_tok, tgt_tok = toy_data

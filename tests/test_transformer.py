@@ -21,12 +21,12 @@ from medseq.tensor import (
     add,
     attention,
     cross_entropy,
+    dropout,
     embedding_lookup,
     finite_diff_check,
     layer_norm,
     matmul,
     mul,
-    relu,
     reshape,
     transpose,
 )
@@ -474,6 +474,15 @@ class TestSequenceLoss:
         np.testing.assert_allclose(combined, expected, rtol=1e-12)
 
 
+def composed_ffn(params, prefix, x, cfg, train, source):
+    """The feed-forward sublayer as the five tape nodes that
+    ``tensor.feed_forward`` replaced: matmul, bias add, ReLU (x times the
+    constant mask x > 0), dropout, matmul plus bias add."""
+    pre = add(matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"])
+    h = dropout(mul(pre, (pre.data > 0).astype(pre.dtype)), cfg.relu_dropout, train, source)
+    return add(matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+
+
 def padded_forward(model, src, side, tgt_in):
     """Logits of the stacks run in the padded (batch, len, h) layout, PAD
     positions computed like any other: the composition the packed rows
@@ -494,8 +503,7 @@ def padded_forward(model, src, side, tgt_in):
         return matmul(reshape(ctx, xq.shape[:2] + (h,)), p[f"{prefix}.wo"])
 
     def ffn(prefix, x):
-        y = relu(add(matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-        return add(matmul(y, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+        return composed_ffn(p, prefix, x, cfg, False, None)
 
     def pad_bias(ids):
         return np.where(ids == PAD_ID, -1e9, 0.0)[:, None, None, :]
@@ -604,6 +612,40 @@ class TestPackedRows:
         tgt[0] = [BOS_ID, PAD_ID, 5, EOS_ID, PAD_ID]
         with pytest.raises(ValidationError):
             sequence_loss(model, src, side, tgt)
+
+
+class TestDropoutStream:
+    """The fused feed-forward node draws its mask where the composed ops
+    drew theirs, so a training run keeps its dropout stream."""
+
+    def test_masks_loss_and_gradients_match_the_composed_sublayer(self, monkeypatch):
+        cfg = tiny_cfg(n_layers_enc=2, n_layers_dec=2, layer_postprocess_dropout=0.1,
+                       attention_dropout=0.15, relu_dropout=0.2)
+        model = init_model(cfg, seed=31)
+        src, side, tgt = rand_batch(cfg, np.random.default_rng(31), batch=4, src_len=6, tgt_len=6)
+        src[1, 3:] = PAD_ID
+        draws = []
+        mask = GeneratorDropout.mask
+
+        def spy(self, shape, p, dtype):
+            draws.append((tuple(shape), p))
+            return mask(self, shape, p, dtype)
+
+        monkeypatch.setattr(GeneratorDropout, "mask", spy)
+        results = []
+        for ffn in (transformer._ffn, composed_ffn):
+            monkeypatch.setattr(transformer, "_ffn", ffn)
+            draws.clear()
+            with Tape() as tape:
+                loss = sequence_loss(model, src, side, tgt, train=True, source=GeneratorDropout(3))
+                grads = tape.gradients(loss, model.parameters)
+            results.append((list(draws), float(loss.data), grads))
+        (fused_draws, fused_loss, fused_grads), (ref_draws, ref_loss, ref_grads) = results
+        assert fused_draws == ref_draws
+        assert [p for _, p in fused_draws].count(cfg.relu_dropout) == 4  # one per ffn sublayer
+        np.testing.assert_allclose(fused_loss, ref_loss, rtol=0, atol=1e-12)
+        for name, g in ref_grads.items():
+            np.testing.assert_allclose(fused_grads[name], g, rtol=0, atol=1e-12, err_msg=name)
 
 
 def plan_cost(classes, q_ext, k_ext) -> int:
