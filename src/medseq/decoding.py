@@ -84,8 +84,7 @@ def decode_batch(
     cfg = model.config
     vocab = cfg.tgt_vocab_size
     word_final = word_final_mask(tokenizer, vocab)
-    memory, src_bias = encode_source(model, src_ids, np.asarray(side_idx), train=False)
-    cache = init_decoder_cache(model, memory, src_bias)
+    cache = init_decoder_cache(model, *encode_source(model, src_ids, np.asarray(side_idx)))
 
     # One entry per live row.  Rows are grouped by record, and within a
     # record ordered by their prefix, so a row's offset in its group is the

@@ -84,8 +84,8 @@ class Certificate:
                 f"certificate {self.id!r}: expected {N_LINES} line slots, "
                 f"got {len(self.lines)} text / {len(self.gold_code_lines)} code"
             )
-        if not any(line for line in self.lines):
-            raise ValidationError(f"certificate {self.id!r}: no nonempty text line")
+        if not any(line and not line.isspace() for line in self.lines):
+            raise ValidationError(f"certificate {self.id!r}: no text line with non-whitespace text")
         if self.raw_age_days < 0:
             raise ValidationError(f"certificate {self.id!r}: negative age")
 

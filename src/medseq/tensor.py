@@ -576,15 +576,14 @@ def dropout(x: Tensor, p: float, train: bool, source: GeneratorDropout | None = 
 def cross_entropy(
     logits: Tensor,
     targets: np.ndarray,
-    ignore_id: int | None = None,
     label_smoothing: float = 0.0,
 ) -> Tensor:
-    """Mean cross-entropy over non-ignored positions.
+    """Mean cross-entropy over the rows of ``logits``.
 
     ``logits`` is (n, vocab); ``targets`` is (n,) int ids.  With smoothing
     eps the target distribution puts 1-eps on the gold id and eps/(vocab-1)
-    on every other id.  The work stays in the logits' dtype over the kept
-    rows only; the per-row sums and the loss are float64.
+    on every other id.  The work stays in the logits' dtype; the per-row
+    sums and the loss are float64.
     """
     targets = np.asarray(targets)
     if logits.data.ndim != 2 or targets.shape != logits.shape[:1]:
@@ -592,13 +591,10 @@ def cross_entropy(
     if not 0.0 <= label_smoothing < 1.0:
         raise ValidationError(f"label smoothing must be in [0, 1), got {label_smoothing}")
     n, vocab = logits.shape
-    kept = np.arange(n) if ignore_id is None else np.flatnonzero(targets != ignore_id)
-    count = kept.size
-    if count == 0:
-        raise ValidationError("cross_entropy: every position is ignored")
-    x = logits.data if count == n else logits.data[kept]
-    gold = targets[kept]
-    rows = np.arange(count)
+    if n == 0:
+        raise ValidationError("cross_entropy: no rows")
+    x = logits.data
+    rows = np.arange(n)
 
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -606,21 +602,17 @@ def cross_entropy(
     lse = np.log(sum_e)
     on = 1.0 - label_smoothing
     off = label_smoothing / (vocab - 1) if vocab > 1 else 0.0
-    gold_lp = shifted[rows, gold] - lse
+    gold_lp = shifted[rows, targets] - lse
     all_lp = shifted.sum(axis=-1, dtype=np.float64) - vocab * lse
     per_row = -(on * gold_lp + off * (all_lp - gold_lp))
-    loss = per_row.sum() / count
+    loss = per_row.sum() / n
 
     def back(g: np.ndarray) -> np.ndarray:
-        scale = float(g) / count
+        scale = float(g) / n
         grad = e * (scale / sum_e).astype(x.dtype)[:, None]
         grad -= off * scale
-        grad[rows, gold] -= (on - off) * scale
-        if count == n:
-            return grad
-        full = np.zeros_like(logits.data)
-        full[kept] = grad
-        return full
+        grad[rows, targets] -= (on - off) * scale
+        return grad
 
     return _record(np.asarray(loss), (logits,), (back,))
 

@@ -10,9 +10,13 @@ one per non-PAD position, so embeddings, norms, feed-forward layers,
 projections and dropout never compute PAD.  Attention pads too, but not to
 the batch's longest record: each stack's records are cut into at most
 ``_MAX_CLASSES`` length classes, and ``tensor.ragged_attention`` pads each
-class only to its own longest record.  Cross-attention projects its keys
-and values from the packed encoder rows.  The cached decoder step keeps the
-padded (rows, heads, len, head dim) layout of ``tensor.attention``.
+class only to its own longest record.
+
+``encode_source`` is the one encoder entry point: ``sequence_loss``,
+``forward`` and decoding all read its packed memory rows, and
+cross-attention projects its keys and values from them.  The cached decoder
+step lays those keys and values out per record, zeros at PAD, in the padded
+(rows, heads, len, head dim) layout of ``tensor.attention``.
 """
 
 from __future__ import annotations
@@ -429,22 +433,15 @@ def _source_rows(
     return dropout(x, cfg.layer_postprocess_dropout, train, source), packing
 
 
-def embed_source(model: TransformerModel, src_ids: np.ndarray, side_idx: np.ndarray) -> Tensor:
-    """The encoder's input as (batch, len, h), zeros at PAD: the padded
-    view of the packed rows ``encode_source`` runs on."""
-    x, packing = _source_rows(model, src_ids, side_idx, False, None)
-    return packing.padded(x)
-
-
-def _encoder_rows(
+def encode_source(
     model: TransformerModel,
     src_ids: np.ndarray,
     side_idx: np.ndarray,
-    train: bool,
-    source: GeneratorDropout | None,
+    train: bool = False,
+    source: GeneratorDropout | None = None,
 ) -> tuple[Tensor, _Packing, np.ndarray]:
-    """The encoder stack on the packed non-PAD rows; returns (memory rows,
-    their packing, source padding bias)."""
+    """Run the encoder stack on the packed non-PAD rows; returns (memory
+    rows, their packing, source padding bias)."""
     cfg = model.config
     params = model.parameters
     x, packing = _source_rows(model, src_ids, side_idx, train, source)
@@ -459,45 +456,10 @@ def _encoder_rows(
     return _normed(params, "enc.final_norm", x), packing, src_bias
 
 
-def encode_source(
-    model: TransformerModel,
-    src_ids: np.ndarray,
-    side_idx: np.ndarray,
-    train: bool = False,
-    source: GeneratorDropout | None = None,
-) -> tuple[Tensor, np.ndarray]:
-    """Run the encoder stack on the packed non-PAD rows; returns (memory,
-    source padding bias), the memory padded to (batch, len, h) with zeros
-    at PAD."""
-    memory, packing, src_bias = _encoder_rows(model, src_ids, side_idx, train, source)
-    return packing.padded(memory), src_bias
-
-
 def _output_logits(params: dict[str, Tensor], x: Tensor) -> Tensor:
     """Final norm, then the transposed target embedding as output projection."""
     x = _normed(params, "dec.final_norm", x)
     return matmul(x, transpose(params["tgt_embed"], (1, 0)))
-
-
-def decode_logits(
-    model: TransformerModel,
-    memory: Tensor,
-    src_bias: np.ndarray,
-    tgt_in_ids: np.ndarray,
-    train: bool = False,
-    source: GeneratorDropout | None = None,
-) -> Tensor:
-    """Decoder stack over a (batch, len) target prefix; returns logits.
-
-    This is the teacher-forced path; decoding advances with ``decode_step``.
-    The stack runs on the prefix's non-PAD rows, and cross-attends to the
-    memory rows that ``src_bias`` leaves unmasked, so the logits at PAD
-    positions come from zero states: finite and meaningless.
-    """
-    src_packing = _Packing.of(src_bias[:, 0, 0, :] == 0)
-    rows = take_rows(reshape(memory, (-1, memory.shape[2])), src_packing.rows)
-    x, packing = _decoder_rows(model, rows, src_packing, src_bias, tgt_in_ids, train, source)
-    return _output_logits(model.parameters, packing.padded(x))
 
 
 def _decoder_rows(
@@ -558,16 +520,27 @@ class DecoderCache:
     row_src_bias: np.ndarray
 
 
-def init_decoder_cache(model: TransformerModel, memory: Tensor, src_bias: np.ndarray) -> DecoderCache:
-    """Empty prefixes, one row per record of the encoded batch."""
+def init_decoder_cache(
+    model: TransformerModel, memory: Tensor, packing: _Packing, src_bias: np.ndarray
+) -> DecoderCache:
+    """Empty prefixes, one row per record of a batch that ``encode_source``
+    encoded into ``memory`` rows, their ``packing`` and ``src_bias``.
+
+    Each layer's cross-attention K and V are projected from the packed rows,
+    then laid out per record through ``packing.slots``; PAD slots (-1) read
+    a zero row appended at the end, as in ``ragged_attention``.
+    """
     cfg = model.config
     params = model.parameters
-    batch = memory.shape[0]
+    batch = packing.batch
+    zero = np.zeros((1, cfg.hidden_size), dtype=cfg.np_dtype)
+
+    def laid_out(name: str) -> np.ndarray:
+        rows = np.concatenate([matmul(memory, params[name]).data, zero])
+        return _split_heads(Tensor(rows[packing.slots]), packing.length, cfg).data
+
     cross = [
-        tuple(
-            _project(params, f"dec{i}.cross_attn.{w}", memory, memory.shape[1], cfg).data
-            for w in ("wk", "wv")
-        )
+        tuple(laid_out(f"dec{i}.cross_attn.{w}") for w in ("wk", "wv"))
         for i in range(cfg.n_layers_dec)
     ]
     empty = np.zeros((batch, cfg.n_heads, 0, cfg.hidden_size // cfg.n_heads), dtype=cfg.np_dtype)
@@ -639,7 +612,10 @@ def forward(
     train: bool = False,
     source: GeneratorDropout | None = None,
 ) -> Tensor:
-    memory, src_packing, src_bias = _encoder_rows(model, src_ids, side_idx, train, source)
+    """Logits (batch, len, vocab) over the teacher-forced prefix
+    ``tgt_in_ids``; the logits at its PAD positions come from zero states,
+    finite and meaningless."""
+    memory, src_packing, src_bias = encode_source(model, src_ids, side_idx, train, source)
     x, packing = _decoder_rows(model, memory, src_packing, src_bias, tgt_in_ids, train, source)
     return _output_logits(model.parameters, packing.padded(x))
 
@@ -667,7 +643,7 @@ def sequence_loss(
     dec_in = tgt_ids[:, :-1]
     if np.any((tgt_ids[:, 1:] != PAD_ID) & (dec_in == PAD_ID)):
         raise ValidationError("a target token follows a PAD in its row")
-    memory, src_packing, src_bias = _encoder_rows(model, src_ids, side_idx, train, source)
+    memory, src_packing, src_bias = encode_source(model, src_ids, side_idx, train, source)
     x, packing = _decoder_rows(model, memory, src_packing, src_bias, dec_in, train, source)
     targets = tgt_ids[:, 1:].reshape(-1)[packing.rows]
     kept = np.flatnonzero(targets != PAD_ID)

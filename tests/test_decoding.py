@@ -26,7 +26,6 @@ from medseq.decoding import (
     write_predictions,
 )
 from medseq.errors import ValidationError
-from medseq.tensor import Tensor
 from medseq.textprep import (
     BOS_ID,
     EOS_ID,
@@ -40,7 +39,7 @@ from medseq.textprep import (
 )
 from medseq.textprep import decode as decode_tokens
 from medseq.train import encode_pairs, pad_batch
-from medseq.transformer import ModelConfig, decode_logits, encode_source, init_model
+from medseq.transformer import ModelConfig, forward, init_model
 
 
 class TestPrediction:
@@ -196,14 +195,13 @@ class TestBatchedDecoding:
 def _all_finished(model, tokenizer, src, side, alpha, max_codes):
     """Enumerate every finished sequence with the same stop rules the beam
     uses, scoring each step from a fresh forward pass over the prefix."""
-    memory, src_bias = encode_source(model, src[None, :], side[None, :])
     max_len = model.config.max_tgt_len
     vocab = model.config.tgt_vocab_size
     finished = []
 
     def next_logp(ids):
         arr = np.array([ids], dtype=np.int64)
-        logits = decode_logits(model, Tensor(memory.data), src_bias, arr)
+        logits = forward(model, src[None, :], side[None, :], arr)
         last = logits.data[0, -1, :].astype(np.float64)
         shifted = last - last.max()
         logp = shifted - np.log(np.exp(shifted).sum())
@@ -231,9 +229,8 @@ def _all_finished(model, tokenizer, src, side, alpha, max_codes):
 
 def _reference_beam(model, tokenizer, src, side, beam_width, alpha, max_codes):
     """The per-candidate loop the batched engine replaced: every step scores
-    the full prefixes with decode_logits and sorts all expansions by
+    the full prefixes with forward and sorts all expansions by
     (-penalized score, token ids)."""
-    memory, src_bias = encode_source(model, src[None, :], side[None, :])
     max_len = model.config.max_tgt_len
 
     def penalized(logps):
@@ -243,8 +240,8 @@ def _reference_beam(model, tokenizer, src, side, beam_width, alpha, max_codes):
     finished = []
     while active:
         n = len(active)
-        logits = decode_logits(
-            model, Tensor(np.repeat(memory.data, n, axis=0)), np.repeat(src_bias, n, axis=0),
+        logits = forward(
+            model, np.repeat(src[None, :], n, axis=0), np.repeat(side[None, :], n, axis=0),
             np.array([ids for ids, _, _ in active]),
         ).data[:, -1, :].astype(np.float64)
         shifted = logits - logits.max(axis=-1, keepdims=True)

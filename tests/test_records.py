@@ -200,10 +200,11 @@ class TestCorpusIO:
         write_corpus([make_cert()], path)
         lines = path.read_text(encoding="utf-8").splitlines()
         fields = lines[1].split("\t")
-        fields[5:11] = [""] * 6
-        path.write_text(lines[0] + "\n" + "\t".join(fields) + "\n", encoding="utf-8")
-        with pytest.raises((CorpusFormatError, ValidationError)):
-            read_corpus(path)
+        for text in ("", "   "):  # whitespace alone encodes to no tokens
+            fields[5:11] = [text] + [""] * 5
+            path.write_text(lines[0] + "\n" + "\t".join(fields) + "\n", encoding="utf-8")
+            with pytest.raises((CorpusFormatError, ValidationError)):
+                read_corpus(path)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -27,16 +27,16 @@ from medseq.tensor import (
     layer_norm,
     matmul,
     mul,
+    put_rows,
     reshape,
+    take_rows,
     transpose,
 )
 from medseq.textprep import BOS_ID, EOS_ID, PAD_ID
 from medseq.train import OptimizerState, adam_step, learning_rate, loss_and_grads
 from medseq.transformer import (
     ModelConfig,
-    decode_logits,
     decode_step,
-    embed_source,
     encode_source,
     forward,
     init_decoder_cache,
@@ -206,8 +206,10 @@ class TestForwardShapes:
         model = init_model(cfg, seed=0)
         rng = np.random.default_rng(1)
         src, side, _ = rand_batch(cfg, rng, batch=2, src_len=6)
-        memory, src_bias = encode_source(model, src, side)
-        assert memory.shape == (2, 6, cfg.hidden_size)
+        src[1, 4:] = PAD_ID
+        memory, packing, src_bias = encode_source(model, src, side)
+        assert memory.shape == (10, cfg.hidden_size)  # one row per non-PAD position
+        assert packing.slots.shape == (2, 6)
         assert src_bias.shape == (2, 1, 1, 6)
 
     def test_side_width_checked(self):
@@ -232,7 +234,8 @@ class TestForwardShapes:
         cfg = tiny_cfg()
         model = init_model(cfg, seed=0)
         with pytest.raises(ValidationError):
-            embed_source(model, np.array([5, 6, 7]), np.zeros((1, 3), dtype=np.int64))
+            forward(model, np.array([5, 6, 7]), np.zeros((1, 3), dtype=np.int64),
+                    np.array([[BOS_ID]]))
 
     def test_source_length_limit(self):
         cfg = tiny_cfg()
@@ -276,14 +279,13 @@ class TestCausality:
         model = init_model(cfg, seed=7)
         rng = np.random.default_rng(7)
         src, side, _ = rand_batch(cfg, rng, batch=2, src_len=5)
-        memory, src_bias = encode_source(model, src, side)
         for trial in range(10):
             tgt_in = rng.integers(1, cfg.tgt_vocab_size, size=(2, 6))
-            base = decode_logits(model, memory, src_bias, tgt_in).data
+            base = forward(model, src, side, tgt_in).data
             j = int(rng.integers(1, 6))
             perturbed = tgt_in.copy()
             perturbed[:, j:] = rng.integers(0, cfg.tgt_vocab_size, size=(2, 6 - j))
-            out = decode_logits(model, memory, src_bias, perturbed).data
+            out = forward(model, src, side, perturbed).data
             assert np.array_equal(base[:, :j], out[:, :j]), f"trial {trial}, split {j}"
 
     def test_changing_future_does_change_future(self):
@@ -291,11 +293,10 @@ class TestCausality:
         model = init_model(cfg, seed=8)
         rng = np.random.default_rng(8)
         src, side, _ = rand_batch(cfg, rng, batch=1, src_len=4)
-        memory, src_bias = encode_source(model, src, side)
         tgt_in = np.array([[BOS_ID, 5, 6, 7]])
         other = np.array([[BOS_ID, 5, 9, 7]])
-        a = decode_logits(model, memory, src_bias, tgt_in).data
-        b = decode_logits(model, memory, src_bias, other).data
+        a = forward(model, src, side, tgt_in).data
+        b = forward(model, src, side, other).data
         assert not np.array_equal(a[:, 2:], b[:, 2:])
 
 
@@ -306,7 +307,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 class TestCachedDecoderStep:
     def test_step_matches_teacher_forced_last_row(self):
-        """Every step's log-probs equal decode_logits' last row over the full
+        """Every step's log-probs equal forward's last row over the full
         prefix, for rows reordered, duplicated and dropped between steps."""
         cfg = tiny_cfg(n_layers_dec=2, max_tgt_len=7)
         model = init_model(cfg, seed=11)
@@ -314,16 +315,13 @@ class TestCachedDecoderStep:
         src, side, _ = rand_batch(cfg, rng, batch=3, src_len=6)
         src[0, 2:] = PAD_ID  # three source lengths in one padded batch
         src[1, 4:] = PAD_ID
-        memory, src_bias = encode_source(model, src, side)
-        cache = init_decoder_cache(model, memory, src_bias)
+        cache = init_decoder_cache(model, *encode_source(model, src, side))
         record = np.arange(3)
         prefixes = np.full((3, 1), BOS_ID)
         parents = np.arange(3)
         for step in range(cfg.max_tgt_len):
             logp = _log_softmax(decode_step(model, cache, parents, prefixes[:, -1]))
-            expected = decode_logits(
-                model, Tensor(memory.data[record]), src_bias[record], prefixes
-            ).data[:, -1, :]
+            expected = forward(model, src[record], side[record], prefixes).data[:, -1, :]
             np.testing.assert_allclose(logp, _log_softmax(expected), rtol=0, atol=1e-12,
                                        err_msg=f"step {step}")
             if step + 1 == cfg.max_tgt_len:
@@ -334,6 +332,30 @@ class TestCachedDecoderStep:
             prefixes = np.concatenate([prefixes[parents], tokens[:, None]], axis=1)
         with pytest.raises(ValidationError):
             decode_step(model, cache, np.arange(len(record)), prefixes[:, -1])
+
+    def test_cross_keys_and_values_match_the_padded_memory(self):
+        """The cache's cross K/V, laid out from the packed memory rows, are
+        exactly 0 at PAD and elsewhere match K/V projected from the memory
+        padded with zero rows: the composition they replaced."""
+        cfg = tiny_cfg(n_layers_dec=2)
+        model = init_model(cfg, seed=26)
+        src, side, _ = rand_batch(cfg, np.random.default_rng(26), batch=3, src_len=5)
+        src[0, 1:] = PAD_ID  # a source of length one
+        src[1, 2] = PAD_ID  # a PAD between tokens
+        memory, packing, src_bias = encode_source(model, src, side)
+        cache = init_decoder_cache(model, memory, packing, src_bias)
+        padded = reshape(put_rows(memory, packing.rows, src.size), src.shape + (cfg.hidden_size,))
+        pad = src == PAD_ID
+        for i, pair in enumerate(cache.cross):
+            for w, got in zip(("wk", "wv"), pair):
+                want = transformer._project(
+                    model.parameters, f"dec{i}.cross_attn.{w}", padded, src.shape[1], cfg
+                ).data
+                assert got.shape == want.shape
+                got, want = got.transpose(0, 2, 1, 3), want.transpose(0, 2, 1, 3)  # by position
+                assert np.all(got[pad] == 0.0)
+                np.testing.assert_allclose(got[~pad], want[~pad], rtol=0, atol=1e-12,
+                                           err_msg=f"dec{i} {w}")
 
 
 class TestSideConditioning:
@@ -374,14 +396,14 @@ class TestSideConditioning:
         side_b = side.copy()
         side_a[:, 2] = 0
         side_b[:, 2] = 1
-        x_a = embed_source(model, src, side_a).data
-        x_b = embed_source(model, src, side_b).data
+        x_a = transformer._source_rows(model, src, side_a, False, None)[0].data
+        x_b = transformer._source_rows(model, src, side_b, False, None)[0].data
         table = model.parameters["side_embed_2"].data
         expected = table[0] - table[1]
         diff = x_a - x_b
-        for b in range(2):
-            for t in range(5):
-                np.testing.assert_allclose(diff[b, t], expected, atol=1e-12)
+        assert diff.shape == (2 * 5, cfg.hidden_size)  # one row per source position
+        for row in diff:
+            np.testing.assert_allclose(row, expected, atol=1e-12)
 
 
 class TestSequenceLoss:
@@ -402,14 +424,7 @@ class TestSequenceLoss:
         model = init_model(cfg, seed=13)
         rng = np.random.default_rng(13)
         src, side, tgt = rand_batch(cfg, rng, batch=3)
-        logits = forward(model, src, side, tgt[:, :-1])
-        b, t, v = logits.shape
-        manual = cross_entropy(
-            reshape(logits, (b * t, v)),
-            tgt[:, 1:].reshape(-1),
-            ignore_id=PAD_ID,
-            label_smoothing=cfg.label_smoothing,
-        )
+        manual = logits_loss(model, forward(model, src, side, tgt[:, :-1]), tgt)
         auto = sequence_loss(model, src, side, tgt)
         assert float(auto.data) == float(manual.data)
 
@@ -426,9 +441,7 @@ class TestSequenceLoss:
 
         def full_logits_loss():
             logits = forward(model, src, side, tgt[:, :-1], True, GeneratorDropout(5))
-            b, t, v = logits.shape
-            return cross_entropy(reshape(logits, (b * t, v)), tgt[:, 1:].reshape(-1),
-                                 ignore_id=PAD_ID, label_smoothing=cfg.label_smoothing)
+            return logits_loss(model, logits, tgt)
 
         results = []
         for f in (full_logits_loss,
@@ -532,9 +545,13 @@ def padded_forward(model, src, side, tgt_in):
 
 
 def logits_loss(model, logits, tgt):
+    """Cross-entropy of padded (batch, len, vocab) logits at the non-PAD
+    targets of ``tgt``."""
     b, t, v = logits.shape
-    return cross_entropy(reshape(logits, (b * t, v)), tgt[:, 1:].reshape(-1),
-                         ignore_id=PAD_ID, label_smoothing=model.config.label_smoothing)
+    targets = tgt[:, 1:].reshape(-1)
+    kept = np.flatnonzero(targets != PAD_ID)
+    return cross_entropy(take_rows(reshape(logits, (b * t, v)), kept), targets[kept],
+                         label_smoothing=model.config.label_smoothing)
 
 
 def packed_batches():
@@ -600,11 +617,12 @@ class TestPackedRows:
         lengths = [7, 1, 4, 2]
         for i, n in enumerate(lengths):
             src[i, n:] = PAD_ID
-        memory, _ = encode_source(model, src, side)
+        memory, packing, _ = encode_source(model, src, side)
         for i, n in enumerate(lengths):
-            alone, _ = encode_source(model, src[i : i + 1, :n], side[i : i + 1])
-            np.testing.assert_allclose(memory.data[i, :n], alone.data[0], rtol=0, atol=1e-12)
-            assert not memory.data[i, n:].any()
+            alone, _, _ = encode_source(model, src[i : i + 1, :n], side[i : i + 1])
+            np.testing.assert_allclose(memory.data[packing.slots[i, :n]], alone.data,
+                                       rtol=0, atol=1e-12)
+            assert np.all(packing.slots[i, n:] == -1)  # PAD has no memory row
 
     def test_target_after_pad_rejected(self):
         model = init_model(tiny_cfg(), seed=24)
