@@ -9,6 +9,18 @@ One engine, ``decode_batch``, does all decoding: the hypotheses of a group
 of records advance together as one batch through the KV-cached decoder
 step, and each step ranks every record's expansions with numpy.  Greedy
 decoding is beam width 1; ``beam_search`` is the engine on one record.
+
+A record leaves the batch once the rest of its search cannot change what
+it returns: it holds beam_width finished hypotheses, and every live row's
+``cum / P`` is strictly below the beam_width-th best of their scores, where
+``cum`` is the row's summed log-probability and ``P`` the largest length
+penalty at any length still open to the row (a maximum, so it holds for
+any sign of alpha).  This is exact: log-probabilities are <= 0, so ``cum``
+only falls, and rounding is monotone, so every later finish scores at most
+``cum / P`` in floating point too and sorts after the beam_width best.  A
+tie could still win the final (-score, token ids) sort, hence "strictly".
+The test is per record, not per row: dropping rows would change which
+candidates the beam keeps.
 """
 
 from __future__ import annotations
@@ -71,12 +83,20 @@ def decode_batch(
     advances one token per step through the KV-cached decoder.  Each record
     keeps the beam_width best expansions of its rows by penalized score;
     expansions that finish leave the batch, so a record's beam shrinks as
-    its hypotheses end.  Ties break toward the lexicographically smaller
-    token sequence, so results are deterministic.  Returns up to beam_width
-    predictions per record; fewer only when the search space is exhausted.
+    its hypotheses end.  A record stops once it has beam_width finished
+    hypotheses and each live row's log-probability sum over the largest
+    length penalty still open to it is below the beam_width-th best of
+    their scores.  Sums only fall and rounding is monotone, so no later
+    finish could enter the record's top beam_width: every record returns
+    what a run to completion returns (see the module docstring).
+    Ties break toward the lexicographically smaller token sequence, so
+    results are deterministic.  Returns up to beam_width predictions per
+    record; fewer only when the search space is exhausted.
     """
     if beam_width < 1:
         raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
+    if not math.isfinite(alpha):
+        raise ValidationError(f"alpha must be a finite number, got {alpha}")
     src_ids = np.asarray(src_ids)
     n_records = src_ids.shape[0]
     if record_ids is None:
@@ -99,6 +119,11 @@ def decode_batch(
     cum = np.zeros(n_records)  # sum of logps, accumulated left to right
     n_codes = np.zeros(n_records, dtype=np.int64)
     finished: list[list[tuple[float, tuple[int, ...], list[float]]]] = [[] for _ in range(n_records)]
+    kth_finished = np.full(n_records, -np.inf)  # beam_width-th best finished score; -inf while fewer
+    # peak_penalty[n]: the largest length penalty of a finish at n or more tokens.
+    peak_penalty = np.maximum.accumulate(
+        [length_penalty(n, alpha) for n in reversed(range(cfg.max_tgt_len))]
+    )[::-1]
     while record.size:
         logits = decode_step(model, cache, parents, tokens).astype(np.float64)
         shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -129,16 +154,28 @@ def decode_batch(
         new_codes = n_codes[parent] + word_final[tok]
         done = (tok == EOS_ID) | (new_codes >= max_codes) | (new_ids.shape[1] >= cfg.max_tgt_len)
         for j in np.flatnonzero(done):
-            finished[live[r[j]]].append((float(pen[j]), tuple(new_ids[j].tolist()), new_logps[j].tolist()))
+            i = live[r[j]]
+            finished[i].append((float(pen[j]), tuple(new_ids[j].tolist()), new_logps[j].tolist()))
+            if len(finished[i]) >= beam_width:
+                kth_finished[i] = sorted(h[0] for h in finished[i])[-beam_width]
 
         going = np.flatnonzero(~done)
         going = going[np.lexsort((f[going], r[going]))]
+        new_cum = total[parent, tok]
+        # Keep a record while one of its rows can still reach its kth_finished.
+        # At width 1 this never drops one: a record with a finish has no live row.
+        if beam_width > 1 and going.size:
+            going_r = r[going]
+            reach = new_cum[going] / peak_penalty[new_ids.shape[1]]
+            open_record = np.zeros(live.size, dtype=bool)
+            open_record[going_r[reach >= kth_finished[live[going_r]]]] = True
+            going = going[open_record[going_r]]
         record = live[r[going]]
         parents = parent[going]
         tokens = tok[going]
         ids = new_ids[going]
         logps = new_logps[going]
-        cum = total[parent, tok][going]
+        cum = new_cum[going]
         n_codes = new_codes[going]
 
     out = []

@@ -413,6 +413,22 @@ class TestExitCodes:
         assert code == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_exits_two(self, tmp_path, alpha):
+        """One error line naming alpha, and no numpy warning before it."""
+        fixture = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
+        assert main(["gen-data", "--n", "40", "--out-dir", str(tmp_path / "gen")]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "medseq.cli", "predict",
+             "--checkpoint", str(fixture / "model.ckpt"), "--corpus", str(tmp_path / "gen" / "corpus.tsv"),
+             "--src-tok", str(fixture / "src.tok"), "--tgt-tok", str(fixture / "tgt.tok"),
+             f"--alpha={alpha}", "--out-dir", str(tmp_path / "pred")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "alpha" in err[0], err
+
     def test_missing_file_exits_three(self, tmp_path):
         assert main([
             "split", "--corpus", str(tmp_path / "absent.tsv"), "--out-dir", str(tmp_path),

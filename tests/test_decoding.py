@@ -7,6 +7,7 @@ length-normalized objective.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from medseq.decoding import (
     write_predictions,
 )
 from medseq.errors import ValidationError
+from medseq.synth import GeneratorConfig, build_default_lexicon, generate_corpus
 from medseq.textprep import (
     BOS_ID,
     EOS_ID,
@@ -34,12 +36,16 @@ from medseq.textprep import (
     UNK_ID,
     TokenizerModel,
     bpe_train,
+    concat_backward,
     encode,
+    load_tokenizer,
     token_is_word_final,
 )
 from medseq.textprep import decode as decode_tokens
-from medseq.train import encode_pairs, pad_batch
+from medseq.train import encode_pairs, load_checkpoint, model_from_checkpoint, pad_batch
 from medseq.transformer import ModelConfig, forward, init_model
+
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
 
 
 class TestPrediction:
@@ -89,6 +95,17 @@ class TestBeamBasics:
         model, tgt_tok, enc, src, side, _ = _toy_setup(toy_data, toy_model)
         with pytest.raises(ValidationError):
             beam_search(model, tgt_tok, src[0], side[0], beam_width=0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected_before_any_work(self, toy_data, toy_model, monkeypatch, alpha):
+        model, tgt_tok, enc, src, side, _ = _toy_setup(toy_data, toy_model)
+
+        def no_work(*args):
+            raise AssertionError("decode_batch encoded the batch before checking alpha")
+
+        monkeypatch.setattr(decoding, "encode_source", no_work)
+        with pytest.raises(ValidationError, match="alpha"):
+            decode_batch(model, tgt_tok, src, side, beam_width=4, alpha=alpha)
 
     def test_returns_ranked_valid_predictions(self, toy_data, toy_model):
         model, tgt_tok, enc, src, side, _ = _toy_setup(toy_data, toy_model)
@@ -192,6 +209,105 @@ class TestBatchedDecoding:
         assert not first.flags.writeable
 
 
+class TestEarlyStop:
+    @pytest.mark.parametrize("beam_width", [2, 4, 8])
+    def test_batch_mates_stopping_apart_keep_full_ranking(
+        self, toy_data, toy_model64, monkeypatch, beam_width
+    ):
+        """Records of one batch that stop at different steps each return the
+        full ranked list they return when decoded alone."""
+        _, pairs, src_tok, tgt_tok = toy_data
+        model = toy_model64
+        enc = encode_pairs(pairs[:12], src_tok, tgt_tok, model.config)
+        src, side, _ = pad_batch(enc)
+        live = []  # the records with a row in each step's batch
+        real_step = decoding.decode_step
+
+        def spy(model, cache, parents, tokens):
+            logits = real_step(model, cache, parents, tokens)
+            live.append(set(cache.record.tolist()))
+            return logits
+
+        monkeypatch.setattr(decoding, "decode_step", spy)
+        ranked = decode_batch(
+            model, tgt_tok, src, side, beam_width=beam_width, record_ids=[p.id for p in enc],
+        )
+        monkeypatch.undo()
+        last_step = [max(t for t, rows in enumerate(live) if i in rows) for i in range(len(enc))]
+        assert len(set(last_step)) > 1
+        for pair, got in zip(enc, ranked):
+            want = beam_search(
+                model, tgt_tok, np.array(pair.src), np.array(pair.side),
+                beam_width=beam_width, record_id=pair.id,
+            )
+            assert [p.codes for p in got] == [p.codes for p in want], pair.id
+            np.testing.assert_allclose(
+                [p.score for p in got], [p.score for p in want], rtol=1e-9, err_msg=pair.id
+            )
+
+    @pytest.mark.parametrize("alpha, width, script, want", [
+        # After step 2 the third-best finished score equals the live "a a"
+        # row's, and its EOS has log-probability 0: the finish ties and wins
+        # the tie on token ids, so a tie must keep a record running.
+        (0.0, 3, {(BOS_ID,): {EOS_ID: 0.0, 4: 0.0, 5: 0.0}, (BOS_ID, 4): {EOS_ID: 0.0, 4: 0.0},
+                  (BOS_ID, 5): {EOS_ID: 0.0, 4: 0.0}, (BOS_ID, 4, 4): {EOS_ID: 0.0}},
+         [(), ("a",), ("a", "a")]),
+        # "a a" over the next step's penalty falls below the runner-up, but
+        # probability-1 steps carry it to a longer prefix whose larger penalty
+        # puts it above: the bound must take the largest penalty to come.
+        (1.0, 2, {(BOS_ID,): {EOS_ID: 0.0, 4: 0.0}, (BOS_ID, 4): {EOS_ID: 0.0, 4: -0.25},
+                  (BOS_ID, 4, 4): {4: 0.0}, (BOS_ID, 4, 4, 4): {4: 0.0},
+                  (BOS_ID, 4, 4, 4, 4): {EOS_ID: 0.0}},
+         [(), ("a",) * 4]),
+    ])
+    def test_scripted_search_at_the_stopping_bound(self, monkeypatch, alpha, width, script, want):
+        """decode_step replaced by a script of logits for each token prefix;
+        tokens a prefix does not list have logit -inf."""
+        reserved = {t: i for i, t in enumerate(RESERVED_TOKENS)}
+        tok = TokenizerModel(merges=(), vocab=dict(reserved, **{"a</w>": 4, "b</w>": 5, "c": 6}))
+        cfg = ModelConfig(
+            src_vocab_size=6, tgt_vocab_size=tok.size, hidden_size=8,
+            n_layers_enc=1, n_layers_dec=1, n_heads=2, ffn_size=16,
+            max_src_len=8, max_tgt_len=6, side_cardinalities=(3, 2), dtype="float64",
+        )
+        prefixes = []  # each step's token prefix of every row
+
+        def scripted_step(model, cache, parents, tokens):
+            prev = prefixes[-1] if prefixes else [()] * len(parents)
+            rows = [prev[p] + (t,) for p, t in zip(parents.tolist(), tokens.tolist())]
+            prefixes.append(rows)
+            logits = np.full((len(rows), tok.size), -np.inf)
+            for i, prefix in enumerate(rows):
+                for t, value in script[prefix].items():
+                    logits[i, t] = value
+            return logits
+
+        monkeypatch.setattr(decoding, "decode_step", scripted_step)
+        got = beam_search(
+            init_model(cfg, seed=0), tok, np.array([4, 5]), np.array([0, 1]),
+            beam_width=width, alpha=alpha,
+        )
+        assert [p.codes for p in got] == want
+
+    def test_fixture_beam_stops_before_the_token_budget(self, monkeypatch):
+        """The benchmark's fixture model at width 4: a run to max_tgt_len
+        makes max_tgt_len - 1 steps; stopping settled records makes fewer."""
+        model = model_from_checkpoint(load_checkpoint(FIXTURE / "model.ckpt"))
+        src_tok = load_tokenizer(FIXTURE / "src.tok")
+        tgt_tok = load_tokenizer(FIXTURE / "tgt.tok")
+        certs = generate_corpus(GeneratorConfig(n_records=12, seed=77), build_default_lexicon(77))
+        enc = encode_pairs([concat_backward(c) for c in certs], src_tok, tgt_tok, model.config)
+        src, side, _ = pad_batch(enc)
+        calls = []
+        real_step = decoding.decode_step
+        monkeypatch.setattr(
+            decoding, "decode_step", lambda *args: calls.append(1) or real_step(*args)
+        )
+        ranked = decode_batch(model, tgt_tok, src, side, beam_width=4)
+        assert all(len(r) == 4 for r in ranked)
+        assert len(calls) < model.config.max_tgt_len - 1
+
+
 def _all_finished(model, tokenizer, src, side, alpha, max_codes):
     """Enumerate every finished sequence with the same stop rules the beam
     uses, scoring each step from a fresh forward pass over the prefix."""
@@ -230,7 +346,8 @@ def _all_finished(model, tokenizer, src, side, alpha, max_codes):
 def _reference_beam(model, tokenizer, src, side, beam_width, alpha, max_codes):
     """The per-candidate loop the batched engine replaced: every step scores
     the full prefixes with forward and sorts all expansions by
-    (-penalized score, token ids)."""
+    (-penalized score, token ids), until no hypothesis is live.  Returns the
+    ranked predictions and the number of steps it ran."""
     max_len = model.config.max_tgt_len
 
     def penalized(logps):
@@ -238,7 +355,9 @@ def _reference_beam(model, tokenizer, src, side, beam_width, alpha, max_codes):
 
     active = [((BOS_ID,), (), 0)]
     finished = []
+    steps = 0
     while active:
+        steps += 1
         n = len(active)
         logits = forward(
             model, np.repeat(src[None, :], n, axis=0), np.repeat(side[None, :], n, axis=0),
@@ -263,7 +382,7 @@ def _reference_beam(model, tokenizer, src, side, beam_width, alpha, max_codes):
     for ids, logps, _ in finished[:beam_width]:
         text = decode_tokens(tokenizer, list(ids[1:]))
         out.append(Prediction(id="", codes=tuple(text.split()), score=prediction_score(list(logps))))
-    return out
+    return out, steps
 
 
 class TestBeamEqualsExhaustiveSearch:
@@ -300,10 +419,12 @@ class TestBeamEqualsExhaustiveSearch:
             expected = decode_tokens(tok, list(top_ids[1:]))
             assert ranked[0].codes == (tuple(expected.split()) if expected else ())
 
-    def test_matches_reference_loop_with_exact_ties(self):
+    def test_matches_reference_loop_with_exact_ties(self, monkeypatch):
         """Tokens 4 and 5 share an embedding row, so sequences that swap them
         tie exactly; at every width, including widths that cut between tied
-        candidates, the engine ranks as the per-candidate reference loop."""
+        candidates, and at every length penalty, the engine ranks as the
+        per-candidate reference loop run to completion, while stopping some
+        searches in fewer steps."""
         reserved = {t: i for i, t in enumerate(RESERVED_TOKENS)}
         tok = TokenizerModel(merges=(), vocab=dict(reserved, **{"a</w>": 4, "b</w>": 5, "c": 6}))
         cfg = ModelConfig(
@@ -312,18 +433,34 @@ class TestBeamEqualsExhaustiveSearch:
             layer_postprocess_dropout=0.0, attention_dropout=0.0, relu_dropout=0.0,
             max_src_len=8, max_tgt_len=5, side_cardinalities=(3, 2), dtype="float64",
         )
+        calls = []
+        real_step = decoding.decode_step
+        monkeypatch.setattr(
+            decoding, "decode_step", lambda *args: calls.append(1) or real_step(*args)
+        )
+        fewer = 0
         for seed in range(4):
             model = init_model(cfg, seed=seed)
             embed = model.parameters["tgt_embed"].data
             embed[5] = embed[4]
             src, side = np.array([4, 5, 4]), np.array([seed % 3, 1])
-            for width in (1, 2, 3, 5, 8):
-                want = _reference_beam(model, tok, src, side, width, 0.6, max_codes=2)
-                got = beam_search(model, tok, src, side, beam_width=width, alpha=0.6, max_codes=2)
-                assert [p.codes for p in got] == [p.codes for p in want], (seed, width)
-                np.testing.assert_allclose(
-                    [p.score for p in got], [p.score for p in want], rtol=1e-12
-                )
+            for alpha in (-0.5, 0.0, 0.6, 1.0):
+                for max_codes in (1, 2, 20):
+                    for width in (1, 2, 3, 5, 8):
+                        case = (seed, alpha, max_codes, width)
+                        want, steps = _reference_beam(model, tok, src, side, width, alpha, max_codes)
+                        calls.clear()
+                        got = beam_search(
+                            model, tok, src, side, beam_width=width, alpha=alpha, max_codes=max_codes,
+                        )
+                        assert [p.codes for p in got] == [p.codes for p in want], case
+                        np.testing.assert_allclose(
+                            [p.score for p in got], [p.score for p in want], rtol=1e-12,
+                            err_msg=str(case),
+                        )
+                        assert len(calls) <= steps, case
+                        fewer += len(calls) < steps
+        assert fewer > 0
 
 
 class TestPredictionFiles:
