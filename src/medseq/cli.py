@@ -494,18 +494,18 @@ def _aligned_pairs(
 
 
 def _chapter_safe(pairs):
-    """Drop malformed predicted code strings before chapter attribution."""
-    safe = []
-    dropped = 0
-    for pred, truth in pairs:
-        kept = []
-        for code in pred:
-            try:
-                Icd10Code(code)
-                kept.append(code)
-            except ValidationError:
-                dropped += 1
-        safe.append((tuple(kept), truth))
+    """Drop malformed predicted code strings before chapter attribution.
+
+    Each distinct code string is checked once per call.
+    """
+    malformed = set()
+    for code in {code for pred, _ in pairs for code in pred}:
+        try:
+            Icd10Code(code)
+        except ValidationError:
+            malformed.add(code)
+    safe = [(tuple(c for c in pred if c not in malformed), truth) for pred, truth in pairs]
+    dropped = sum(code in malformed for pred, _ in pairs for code in pred)
     return safe, dropped
 
 

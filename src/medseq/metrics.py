@@ -3,12 +3,15 @@ and the score-threshold rejection curve.
 
 Code matching is multiset-based: tp for a record is the sum over codes of
 min(predicted count, true count).  Micro averages sum the per-record counts
-before applying the metric formulas.
+before applying the metric formulas.  Each report counts every record once,
+into one row of (tp, fp, fn): strata sum their rows, the rejection curve
+sums the rows above each threshold, and the bootstrap sums resampled rows,
+drawing each block of resamples in one call from the same PCG64 stream that
+one draw per resample would read.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,12 +24,18 @@ from .records import ALL_CHAPTERS, Certificate, Icd10Code, ORIGIN_PAPER, chapter
 
 def count_matches(pred: Iterable[str], truth: Iterable[str]) -> tuple[int, int, int]:
     """(tp, fp, fn) under multiset semantics; order-insensitive."""
-    p = Counter(pred)
-    t = Counter(truth)
-    tp = sum(min(n, t[c]) for c, n in p.items())
-    fp = sum(p.values()) - tp
-    fn = sum(t.values()) - tp
-    return tp, fp, fn
+    pred = tuple(pred)
+    truth = tuple(truth)
+    left: dict[str, int] = {}
+    for code in truth:
+        left[code] = left.get(code, 0) + 1
+    tp = 0
+    for code in pred:
+        n = left.get(code, 0)
+        if n:
+            left[code] = n - 1
+            tp += 1
+    return tp, len(pred) - tp, len(truth) - tp
 
 
 def f_from_counts(tp: int, fp: int, fn: int) -> float:
@@ -71,17 +80,26 @@ def _report_from_counts(tp: int, fp: int, fn: int, n_records: int, stratum: str)
 Pair = tuple[Sequence[str], Sequence[str]]
 
 
+def _match_counts(pairs: Iterable[Pair]) -> np.ndarray:
+    """(n, 3) int64 rows of per-record (tp, fp, fn), one count per pair."""
+    return np.array([count_matches(p, t) for p, t in pairs], dtype=np.int64)
+
+
+def _summed_report(counts: np.ndarray, stratum: str) -> MetricReport:
+    tp, fp, fn = (int(v) for v in counts.sum(axis=0))
+    return _report_from_counts(tp, fp, fn, len(counts), stratum)
+
+
 def micro_metrics(pairs: Sequence[Pair], stratum: str = "overall") -> MetricReport:
     """Sum (tp, fp, fn) over all (pred, truth) pairs, then apply the formulas."""
     if not pairs:
         raise ValidationError("micro_metrics needs at least one pair")
-    tp = fp = fn = 0
-    for pred, truth in pairs:
-        a, b, c = count_matches(pred, truth)
-        tp += a
-        fp += b
-        fn += c
-    return _report_from_counts(tp, fp, fn, len(pairs), stratum)
+    return _summed_report(_match_counts(pairs), stratum)
+
+
+# Resample indices drawn per block.  It keeps the bootstrap's working arrays
+# near 1 MB at any size, small enough to stay in cache while they are summed.
+_BOOTSTRAP_BLOCK = 1 << 16
 
 
 def bootstrap_ci(
@@ -93,28 +111,40 @@ def bootstrap_ci(
     """Percentile bootstrap over records for precision, recall and F.
 
     Resamples whole records with replacement b times and recomputes the
-    micro metrics each time; deterministic under the seed.
+    micro metrics each time; deterministic under the seed.  Each record is
+    matched once.  The resamples are drawn a block of rows per call; one
+    (rows, n) draw is the same PCG64 stream as rows draws of size n, so the
+    intervals do not depend on the block size.
     """
     if not pairs:
         raise ValidationError("bootstrap_ci needs at least one pair")
+    if b < 1:
+        raise ValidationError(f"bootstrap resamples must be at least 1, got {b}")
+    if seed < 0:
+        raise ValidationError(f"bootstrap seed must be non-negative, got {seed}")
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must be in (0, 1), got {level}")
-    counts = np.array([count_matches(p, t) for p, t in pairs], dtype=np.float64)
+    counts = _match_counts(pairs)
     rng = np.random.default_rng(seed)
     n = len(pairs)
-    stats = np.empty((b, 3), dtype=np.float64)
-    for i in range(b):
-        idx = rng.integers(0, n, size=n)
-        tp, fp, fn = counts[idx].sum(axis=0)
-        stats[i] = (
-            tp / (tp + fp) if tp + fp > 0 else np.nan,  # NaN: undefined in this resample
-            tp / (tp + fn) if tp + fn > 0 else np.nan,
-            f_from_counts(tp, fp, fn),
+    rows = max(1, _BOOTSTRAP_BLOCK // n)
+    sums = np.empty((3, b), dtype=np.int64)
+    for start in range(0, b, rows):
+        idx = rng.integers(0, n, size=(min(rows, b - start), n))
+        for j in range(3):
+            sums[j, start:start + len(idx)] = counts[:, j].take(idx).sum(axis=1)
+    tp, fp, fn = sums.astype(np.float64)
+    # f_from_counts and the precision/recall formulas, one resample per column.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_degenerate = np.where((fp == 0) & (fn == 0), 1.0, 0.0)
+        stats = (
+            np.where(tp + fp > 0, tp / (tp + fp), np.nan),  # NaN: undefined in this resample
+            np.where(tp + fn > 0, tp / (tp + fn), np.nan),
+            np.where(tp > 0, 2.0 * tp / (2.0 * tp + fp + fn), f_degenerate),
         )
     lo_q, hi_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0
     out = {}
-    for j, name in enumerate(("precision", "recall", "f_measure")):
-        col = stats[:, j]
+    for name, col in zip(("precision", "recall", "f_measure"), stats):
         col = col[~np.isnan(col)]
         if col.size == 0:
             continue
@@ -144,25 +174,35 @@ def per_chapter(pairs: Sequence[Pair]) -> ChapterReport:
 
     Within one code, matched occurrences are TP and the surplus on either
     side becomes FP/FN; every occurrence is then attributed to the code's
-    chapter.
+    chapter.  The counts are kept per distinct code string, so each one is
+    parsed and looked up once per call.
     """
     if not pairs:
         raise ValidationError("per_chapter needs at least one pair")
+    n_pred: dict[str, int] = {}
+    n_true: dict[str, int] = {}
+    n_matched: dict[str, int] = {}
+    for pred, truth in pairs:
+        left: dict[str, int] = {}
+        for code in truth:
+            left[code] = left.get(code, 0) + 1
+            n_true[code] = n_true.get(code, 0) + 1
+        for code in pred:
+            n_pred[code] = n_pred.get(code, 0) + 1
+            if left.get(code, 0):
+                left[code] -= 1
+                n_matched[code] = n_matched.get(code, 0) + 1
     n_ch = len(ALL_CHAPTERS)
     tp = np.zeros(n_ch + 1, dtype=np.int64)
     fp = np.zeros(n_ch + 1, dtype=np.int64)
     fn = np.zeros(n_ch + 1, dtype=np.int64)
-    total_truth = 0
-    for pred, truth in pairs:
-        pc = Counter(pred)
-        tc = Counter(truth)
-        total_truth += sum(tc.values())
-        for code in set(pc) | set(tc):
-            ch = chapter_of(Icd10Code(code)).index
-            m = min(pc[code], tc[code])
-            tp[ch] += m
-            fp[ch] += pc[code] - m
-            fn[ch] += tc[code] - m
+    for code in {**n_true, **n_pred}:
+        ch = chapter_of(Icd10Code(code)).index
+        m = n_matched.get(code, 0)
+        tp[ch] += m
+        fp[ch] += n_pred.get(code, 0) - m
+        fn[ch] += n_true.get(code, 0) - m
+    total_truth = sum(n_true.values())
     if total_truth == 0:
         raise ValidationError("per_chapter: no true codes present")
     rows = []
@@ -202,8 +242,9 @@ def calibration_curve(
 
     Each entry is (predicted codes, score, true codes).  At each threshold,
     predictions with score <= threshold are rejected; micro F is reported
-    on the accepted remainder.  Each record is matched once; a threshold
-    sums the (tp, fp, fn) rows of the records it accepts.
+    on the accepted remainder.  Each record is matched once and the scores
+    are sorted once; a threshold accepts a suffix of the sorted records and
+    reads its (tp, fp, fn) sums from suffix cumulative sums.
     """
     if not scored_pairs:
         raise ValidationError("calibration_curve needs at least one prediction")
@@ -211,14 +252,18 @@ def calibration_curve(
         if not 0.0 < score <= 1.0:
             raise ValidationError(f"scores must be in (0, 1], got {score}")
     n = len(scored_pairs)
-    counts = np.array([count_matches(p, t) for p, _, t in scored_pairs], dtype=np.int64)
+    counts = _match_counts((p, t) for p, _, t in scored_pairs)
     scores = np.array([s for _, s, _ in scored_pairs], dtype=np.float64)
+    order = np.argsort(scores)
+    # suffix[k] sums the records at sorted positions k..n-1; suffix[n] is zero.
+    suffix = np.zeros((n + 1, 3), dtype=np.int64)
+    suffix[:n] = counts[order][::-1].cumsum(axis=0)[::-1]
+    thresholds = [i / 100.0 for i in range(101)]
+    first_accepted = np.searchsorted(scores[order], thresholds, side="right")
     rows = []
-    for i in range(101):
-        threshold = i / 100.0
-        accepted = scores > threshold
-        n_accepted = int(accepted.sum())
-        tp, fp, fn = (int(c) for c in counts[accepted].sum(axis=0))
+    for threshold, k in zip(thresholds, first_accepted.tolist()):
+        n_accepted = n - k
+        tp, fp, fn = suffix[k].tolist()
         rows.append(
             CalibrationRow(
                 threshold=threshold,
@@ -248,14 +293,20 @@ def stratified_report(
     certs: Sequence[Certificate],
     stratum: str,
 ) -> list[MetricReport]:
-    """One MetricReport per present stratum value, plus the overall row."""
+    """One MetricReport per present stratum value, plus the overall row.
+
+    Each pair is matched once; a stratum's report sums its records' rows.
+    """
     if len(pairs) != len(certs):
         raise ValidationError(f"{len(pairs)} pairs vs {len(certs)} certificates")
-    groups: dict[str, list[Pair]] = {}
-    for pair, cert in zip(pairs, certs):
-        groups.setdefault(stratum_label(cert, stratum), []).append(pair)
-    reports = [micro_metrics(group, stratum=label) for label, group in sorted(groups.items())]
-    reports.append(micro_metrics(pairs, stratum="overall"))
+    if not pairs:
+        raise ValidationError("stratified_report needs at least one pair")
+    groups: dict[str, list[int]] = {}
+    for i, cert in enumerate(certs):
+        groups.setdefault(stratum_label(cert, stratum), []).append(i)
+    counts = _match_counts(pairs)
+    reports = [_summed_report(counts[rows], label) for label, rows in sorted(groups.items())]
+    reports.append(_summed_report(counts, "overall"))
     return reports
 
 

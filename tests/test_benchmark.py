@@ -29,3 +29,6 @@ def test_short_traced_run_completes(workload):
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True
     assert summary["failed"] == 0
+    if workload == "pipeline":
+        # Every layer the pipeline trace expects is still wrapped and called.
+        assert "missing layer:" not in proc.stderr, proc.stderr[-4000:]

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import shutil
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from medseq import cli
 from medseq.cli import main
-from medseq.decoding import read_predictions
+from medseq.decoding import read_predictions, write_predictions
+from medseq.metrics import format_chapter_report, micro_metrics, per_chapter
 from medseq.records import read_corpus
 
 
@@ -170,6 +172,28 @@ class TestPipelineArtifacts:
     def test_chapters_file_lists_all(self, pipeline):
         lines = (pipeline["eval"] / "chapters.txt").read_text().splitlines()
         assert len([l for l in lines if l.strip() and not l.startswith("chapter")]) >= 22
+
+    def test_malformed_predicted_codes_leave_chapters_only(self, pipeline, tmp_path):
+        """Malformed codes count as false positives but not in chapter attribution."""
+        preds = read_predictions(str(pipeline["pred"] / "predictions.tsv"))
+        spoiled = [
+            dataclasses.replace(p, codes=p.codes[:5] + ("BAD", "i10", "BAD")) if i < 2 else p
+            for i, p in enumerate(preds)
+        ]
+        write_predictions(str(tmp_path / "predictions.tsv"), spoiled)
+        assert main([
+            "evaluate", "--predictions", str(tmp_path / "predictions.tsv"),
+            "--corpus", pipeline["test_tsv"], "--out-dir", str(tmp_path / "eval"),
+            "--set", "eval.bootstrap_b=5",
+        ]) == 0
+        report = (tmp_path / "eval" / "report.txt").read_text().splitlines()
+        assert report[-1] == "malformed predicted codes excluded from chapter attribution: 4"
+        truths = [tuple(c.text for c in cert.all_codes()) for cert in read_corpus(pipeline["test_tsv"])]
+        pairs = [(p.codes, t) for p, t in zip(spoiled, truths)]
+        overall = micro_metrics(pairs)
+        assert report[2] == f"tp={overall.tp} fp={overall.fp} fn={overall.fn}"
+        chapters = per_chapter([(tuple(c for c in p if c != "BAD"), t) for p, t in pairs])
+        assert (tmp_path / "eval" / "chapters.txt").read_text() == format_chapter_report(chapters) + "\n"
 
     def test_calibration_grid(self, pipeline):
         lines = (pipeline["eval"] / "calibration.tsv").read_text().splitlines()
@@ -450,6 +474,22 @@ class TestExitCodes:
         assert main(argv + ["--set", f"{key}=-3"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "got -3" in err[0], err
+
+    @pytest.mark.parametrize("setting", [
+        "eval.bootstrap_b=0", "eval.bootstrap_b=-3", "eval.bootstrap_seed=-1",
+    ])
+    def test_bad_bootstrap_setting_exits_two(self, pipeline, tmp_path, capsys, setting):
+        """One error line naming the value, and no report written."""
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--predictions", str(pipeline["pred"] / "predictions.tsv"),
+            "--corpus", pipeline["test_tsv"], "--out-dir", str(tmp_path), "--set", setting,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        value = setting.partition("=")[2]
+        assert len(err) == 1 and err[0].startswith("error: ") and f"got {value}" in err[0], err
+        assert not (tmp_path / "report.kv").exists()
 
     def test_empty_report_dir_exits_two(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path), "--out-dir", str(tmp_path)]) == 2

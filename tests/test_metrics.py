@@ -1,10 +1,13 @@
 """Multiset metrics, bootstrap intervals, chapter/stratum reports, calibration."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medseq import metrics
 from medseq.errors import ValidationError
 from medseq.metrics import (
     CalibrationRow,
@@ -23,7 +26,7 @@ from medseq.metrics import (
     stratified_report,
     stratum_label,
 )
-from medseq.records import Certificate, Icd10Code, SideVariables
+from medseq.records import ALL_CHAPTERS, Certificate, Icd10Code, SideVariables, chapter_of
 
 CODES = st.lists(
     st.sampled_from(["I10", "E119", "A00", "B01", "W19", "C22"]), min_size=0, max_size=5
@@ -58,6 +61,11 @@ class TestCountMatches:
         assert count_matches([], []) == (0, 0, 0)
         assert count_matches(["I10"], []) == (0, 1, 0)
         assert count_matches([], ["I10"]) == (0, 0, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(CODES, CODES)
+    def test_one_shot_iterables(self, pred, truth):
+        assert count_matches(iter(pred), iter(truth)) == brute_force_counts(pred, truth)
 
     @settings(max_examples=200, deadline=None)
     @given(pred=CODES, truth=CODES)
@@ -155,6 +163,63 @@ def _noisy_pairs(rng, n, flip=0.3):
     return pairs
 
 
+def _reference_bootstrap(pairs, b=1000, level=0.95, seed=0):
+    """The per-resample loop: one draw of n indices and one float64 sum per resample."""
+    counts = np.array([count_matches(p, t) for p, t in pairs], dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    n = len(pairs)
+    stats = np.empty((b, 3), dtype=np.float64)
+    for i in range(b):
+        idx = rng.integers(0, n, size=n)
+        tp, fp, fn = counts[idx].sum(axis=0)
+        stats[i] = (
+            tp / (tp + fp) if tp + fp > 0 else np.nan,
+            tp / (tp + fn) if tp + fn > 0 else np.nan,
+            f_from_counts(tp, fp, fn),
+        )
+    lo_q, hi_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0
+    out = {}
+    for j, name in enumerate(("precision", "recall", "f_measure")):
+        col = stats[:, j]
+        col = col[~np.isnan(col)]
+        if col.size:
+            out[name] = (float(np.quantile(col, lo_q)), float(np.quantile(col, hi_q)))
+    return out
+
+
+class TestBootstrapMatchesReference:
+    @pytest.mark.parametrize("n", [1, 2, 7, 600, 601])
+    @pytest.mark.parametrize("b", [1, 50, 1000])
+    @pytest.mark.parametrize("seed", [0, 5, 20261020])
+    def test_equal_to_per_resample_loop(self, n, b, seed):
+        pairs = _noisy_pairs(np.random.default_rng(n + seed), n)
+        assert bootstrap_ci(pairs, b=b, seed=seed) == _reference_bootstrap(pairs, b=b, seed=seed)
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.99])
+    def test_equal_at_other_levels(self, level):
+        pairs = _noisy_pairs(np.random.default_rng(9), 40)
+        got = bootstrap_ci(pairs, b=300, level=level, seed=2)
+        assert got == _reference_bootstrap(pairs, b=300, level=level, seed=2)
+
+    def test_nothing_predicted_drops_precision(self):
+        pairs = [((), ("I10",)), ((), ("A00", "E119")), ((), ())]
+        got = bootstrap_ci(pairs, b=200, seed=1)
+        assert "precision" not in got
+        assert got == _reference_bootstrap(pairs, b=200, seed=1)
+
+    def test_nothing_at_all_keeps_only_f(self):
+        pairs = [((), ())] * 5
+        got = bootstrap_ci(pairs, b=20, seed=0)
+        assert got == {"f_measure": (1.0, 1.0)} == _reference_bootstrap(pairs, b=20, seed=0)
+
+    @pytest.mark.parametrize("block", [1, 6, 7, 8, 50])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, block):
+        """Blocks of one row, of rows that split n, and a last short block."""
+        pairs = _noisy_pairs(np.random.default_rng(4), 7)
+        monkeypatch.setattr(metrics, "_BOOTSTRAP_BLOCK", block)
+        assert bootstrap_ci(pairs, b=23, seed=3) == _reference_bootstrap(pairs, b=23, seed=3)
+
+
 class TestBootstrap:
     def test_deterministic_under_seed(self):
         pairs = _noisy_pairs(np.random.default_rng(0), 50)
@@ -200,6 +265,15 @@ class TestBootstrap:
         with pytest.raises(ValidationError):
             bootstrap_ci([])
 
+    @pytest.mark.parametrize("b", [0, -3])
+    def test_resample_count_validated(self, b):
+        with pytest.raises(ValidationError, match=f"got {b}"):
+            bootstrap_ci([(("I10",), ("I10",))], b=b)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="got -1"):
+            bootstrap_ci([(("I10",), ("I10",))], seed=-1)
+
 
 class TestPerChapter:
     def test_hand_example(self):
@@ -244,6 +318,58 @@ class TestPerChapter:
         report = per_chapter([(("I10",), ("I10",))])
         text = format_chapter_report(report)
         assert len(text.splitlines()) == 23
+
+
+def _reference_per_chapter(pairs):
+    """Counters per record, and a chapter lookup per distinct code of each record."""
+    tp, fp, fn = Counter(), Counter(), Counter()
+    for pred, truth in pairs:
+        pc, tc = Counter(pred), Counter(truth)
+        for code in set(pc) | set(tc):
+            ch = chapter_of(Icd10Code(code)).index
+            m = min(pc[code], tc[code])
+            tp[ch] += m
+            fp[ch] += pc[code] - m
+            fn[ch] += tc[code] - m
+    total = sum(len(truth) for _, truth in pairs)
+    return [
+        (i, tp[i], fp[i], fn[i],
+         fp[i] / (tp[i] + fp[i]) if tp[i] + fp[i] else None,
+         fn[i] / (tp[i] + fn[i]) if tp[i] + fn[i] else None,
+         (tp[i] + fn[i]) / total)
+        for i in range(1, len(ALL_CHAPTERS) + 1)
+    ]
+
+
+def _chapter_rows(report):
+    return [(r.index, r.tp, r.fp, r.fn, r.fp_rate, r.fn_rate, r.prevalence) for r in report.rows]
+
+
+# Codes from several chapters, in raw spellings that normalize alike.
+CHAPTER_CODES = st.lists(
+    st.sampled_from(["I10", "i10", "I64", "E119", "E11.9", "A00", "W19", "C22", "Z515"]),
+    min_size=0, max_size=6,
+)
+
+
+class TestPerChapterMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(CHAPTER_CODES, CHAPTER_CODES), min_size=1, max_size=12))
+    def test_random_pairs(self, pairs):
+        if not any(truth for _, truth in pairs):
+            with pytest.raises(ValidationError):
+                per_chapter(pairs)
+            return
+        assert _chapter_rows(per_chapter(pairs)) == _reference_per_chapter(pairs)
+
+    def test_repeats_and_one_sided_codes(self):
+        pairs = [
+            (("I10", "I10", "I10", "W19"), ("I10", "E119", "E119")),
+            (("A00",), ("A00", "A00", "C22")),
+            ((), ("Z515",)),
+            (("C22", "C22"), ()),
+        ]
+        assert _chapter_rows(per_chapter(pairs)) == _reference_per_chapter(pairs)
 
 
 class TestCalibration:
@@ -421,6 +547,25 @@ class TestStrata:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             stratified_report([(("I10",), ("I10",))], [], "origin")
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError):
+            stratified_report([], [], "origin")
+
+    @pytest.mark.parametrize("stratum", ["origin", "contains_bang"])
+    def test_equals_per_group_micro_metrics(self, stratum):
+        rng = np.random.default_rng(17)
+        pairs = _noisy_pairs(rng, 60) + [((), ())]
+        certs = [
+            _cert(f"r{i}", int(rng.integers(0, 2)), bang=bool(rng.integers(0, 2)))
+            for i in range(len(pairs))
+        ]
+        groups = {}
+        for pair, cert in zip(pairs, certs):
+            groups.setdefault(stratum_label(cert, stratum), []).append(pair)
+        expected = [micro_metrics(g, stratum=label) for label, g in sorted(groups.items())]
+        expected.append(micro_metrics(pairs))
+        assert stratified_report(pairs, certs, stratum) == expected
 
 
 class TestReportFormatting:

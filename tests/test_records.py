@@ -216,6 +216,61 @@ class TestCorpusIO:
         assert read_corpus(path) == certs
 
 
+def _uncached_codes(path):
+    """Gold code lines of each data row, every token parsed on its own."""
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    return [
+        tuple(tuple(Icd10Code(tok) for tok in cell.split()) for cell in row.split("\t")[11:17])
+        for row in rows
+    ]
+
+
+class TestCorpusCodeParsing:
+    def _write(self, path, code_cells):
+        """One row per entry; each entry is the six code cells of that row."""
+        write_corpus([make_cert(f"r{i}") for i in range(len(code_cells))], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, cells in enumerate(code_cells, start=1):
+            fields = lines[i].split("\t")
+            fields[11:17] = cells
+            lines[i] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def test_equals_uncached_parse(self, tmp_path):
+        lexicon = build_default_lexicon(3)
+        path = tmp_path / "c.tsv"
+        write_corpus(generate_corpus(GeneratorConfig(n_records=150, seed=3), lexicon), path)
+        certs = read_corpus(path)
+        assert [c.gold_code_lines for c in certs] == _uncached_codes(path)
+
+    def test_spellings_of_one_code_equal_uncached_parse(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        self._write(path, [
+            ["I10 i10", "E11.9", "", "", "", "E119 I10"],
+            ["i10", "", "e11.9 E119", "", "I10", ""],
+        ])
+        certs = read_corpus(path)
+        assert [c.gold_code_lines for c in certs] == _uncached_codes(path)
+        assert [c.text for c in certs[1].all_codes()] == ["I10", "E119", "E119", "I10"]
+
+    def test_repeated_malformed_code_reported_at_first_line(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        ok = ["I10", "", "", "", "", ""]
+        bad = ["I10 X1", "", "", "", "", ""]
+        self._write(path, [ok, bad, ok, bad])  # file lines 2-5
+        with pytest.raises(CorpusFormatError, match=r"line 3: line1_codes: .*'X1'"):
+            read_corpus(path)
+
+    def test_cached_valid_code_does_not_hide_malformed_token(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        self._write(path, [
+            ["I10 E119", "", "", "", "", ""],
+            ["", "", "I10 E119 Q", "", "", ""],
+        ])
+        with pytest.raises(CorpusFormatError, match=r"line 3: line3_codes: .*'Q'"):
+            read_corpus(path)
+
+
 class TestAtomicWrite:
     def test_writer_failing_mid_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "c.tsv"
