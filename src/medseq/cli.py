@@ -1,10 +1,11 @@
 """Command-line pipeline: generate, split, tokenize, train, search,
 predict, ensemble, evaluate, calibrate, report.
 
-Every artifact-producing subcommand writes its outputs plus an
-effective-config echo (with input file hashes) into --out-dir, and is
-deterministic given identical inputs and seeds.  Exit codes: 1 usage,
-2 validation/config, 3 runtime (missing input files, training divergence).
+Every subcommand but `report` writes its outputs plus an effective-config
+echo (with input file hashes) into --out-dir; `report` writes summary.txt
+alone.  Each is deterministic given identical inputs and seeds.  Exit codes:
+1 usage, 2 validation/config, 3 runtime (missing input files, training
+divergence).
 
 Settings are flat dotted keys, resolved in increasing precedence: defaults,
 MEDSEQ_SEED (every *.seed key), --config FILE, --set KEY=VALUE, then the
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import atomic_open, file_sha256, read_lines
-from .decoding import DEFAULT_ALPHA, DEFAULT_BEAM_WIDTH, Prediction, predict_pairs
+from .decoding import DEFAULT_ALPHA, DEFAULT_BEAM_WIDTH, predict_pairs
 from .decoding import read_predictions, write_predictions
 from .ensemble import ensemble_predict, greedy_select, read_manifest, write_manifest
 from .errors import ConfigError, MedseqError, ValidationError
@@ -41,7 +42,7 @@ from .metrics import (
     report_to_kv,
     stratified_report,
 )
-from .records import Certificate, Icd10Code, read_corpus, write_corpus
+from .records import Icd10Code, read_corpus, write_corpus
 from .synth import GeneratorConfig, build_default_lexicon, generate_corpus, split_corpus
 from .textprep import (
     bpe_train,
@@ -111,21 +112,6 @@ _KEYS: dict[str, tuple[type, object]] = {
     "eval.bootstrap_level": (float, 0.95),
     "eval.bootstrap_seed": (int, 0),
 }
-
-# subcommand -> {flag: the keys it sets}.  Flags beat --set.
-_FLAGS: dict[str, dict[str, tuple[str, ...]]] = {
-    "gen-data": {"--n": ("synth.n_records",), "--seed": ("synth.seed",)},
-    "split": {
-        "--val-per-year": ("split.val_per_year",),
-        "--test-per-year": ("split.test_per_year",),
-        "--seed": ("split.seed",),
-    },
-    "tokenize": {"--src-vocab": ("tokenize.src_vocab",), "--tgt-vocab": ("tokenize.tgt_vocab",)},
-    "train": {"--max-steps": ("train.max_steps",), "--seed": ("train.seed", "model.seed")},
-    "search": {"--trials": ("search.n_trials",), "--seed": ("search.seed",)},
-    "predict": {"--beam-width": ("decode.beam_width",), "--alpha": ("decode.alpha",)},
-}
-_FLAG_HELP = {"--n": "number of certificates"}
 
 # `search` draws these for each trial, so a value given for one would be ignored.
 _SEARCH_SAMPLED = (
@@ -231,18 +217,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
-        help="override one config key (repeatable)",
-    )
-    p.add_argument("--out-dir", default=".", help="directory for outputs and the config echo")
-
-
 def _load_cfg(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.load(config_path=args.config, overrides=args.set)
-    for flag, keys in _FLAGS.get(args.command, {}).items():
+    for flag, keys in _COMMANDS[args.command].flags.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             for key in keys:
@@ -261,7 +238,18 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_provenance(out: Path, cfg: RunConfig, inputs: dict[str, str]) -> None:
+def _checkpoint_paths(args: argparse.Namespace) -> list[str]:
+    return [p for p in args.checkpoints.split(",") if p]
+
+
+def _write_provenance(out: Path, cfg: RunConfig, args: argparse.Namespace) -> None:
+    """The config echo, with the hash of each input path in the command's row."""
+    inputs = {}
+    for role in _COMMANDS[args.command].paths:
+        if role == "checkpoints":
+            inputs.update((f"member{i}", p) for i, p in enumerate(_checkpoint_paths(args)))
+        else:
+            inputs[role] = getattr(args, role)
     lines = [f"# medseq {__version__}", f"# config_sha256={cfg.sha256()}"]
     for role in sorted(inputs):
         path = inputs[role]
@@ -271,12 +259,15 @@ def _write_provenance(out: Path, cfg: RunConfig, inputs: dict[str, str]) -> None
 
 
 def _read_pairs(path: str):
-    certs = read_corpus(path)
-    return certs, [concat_backward(c) for c in certs]
+    return [concat_backward(c) for c in read_corpus(path)]
 
 
 def _load_tokenizers(args: argparse.Namespace):
     return load_tokenizer(args.src_tok), load_tokenizer(args.tgt_tok)
+
+
+def _decode_options(cfg: RunConfig) -> dict:
+    return {"beam_width": cfg.get("decode.beam_width"), "alpha": cfg.get("decode.alpha")}
 
 
 # ----------------------------------------------------------------------
@@ -284,20 +275,16 @@ def _load_tokenizers(args: argparse.Namespace):
 # ----------------------------------------------------------------------
 
 
-def _cmd_gen_data(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def _cmd_gen_data(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     gen = _build(GeneratorConfig, cfg, "synth")
     certs = generate_corpus(gen, build_default_lexicon(gen.seed))
     write_corpus(certs, out / "corpus.tsv")
-    _write_provenance(out, cfg, {})
+    _write_provenance(out, cfg, args)
     print(f"wrote {len(certs)} certificates to {out / 'corpus.tsv'}")
     return 0
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def _cmd_split(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     certs = read_corpus(args.corpus)
     train_set, val_set, test_set = split_corpus(
         certs,
@@ -308,15 +295,13 @@ def _cmd_split(args: argparse.Namespace) -> int:
     write_corpus(train_set, out / "train.tsv")
     write_corpus(val_set, out / "val.tsv")
     write_corpus(test_set, out / "test.tsv")
-    _write_provenance(out, cfg, {"corpus": args.corpus})
+    _write_provenance(out, cfg, args)
     print(f"split {len(certs)} -> train {len(train_set)}, val {len(val_set)}, test {len(test_set)}")
     return 0
 
 
-def _cmd_tokenize(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    _, pairs = _read_pairs(args.corpus)
+def _cmd_tokenize(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
+    pairs = _read_pairs(args.corpus)
     src_tok = bpe_train([p.source_text for p in pairs], cfg.get("tokenize.src_vocab"))
     tgt_tok = bpe_train(
         [" ".join(c.text for c in p.target_codes) for p in pairs],
@@ -324,7 +309,7 @@ def _cmd_tokenize(args: argparse.Namespace) -> int:
     )
     save_tokenizer(src_tok, out / "src.tok")
     save_tokenizer(tgt_tok, out / "tgt.tok")
-    _write_provenance(out, cfg, {"corpus": args.corpus})
+    _write_provenance(out, cfg, args)
     print(
         f"source vocab {src_tok.size} (exhausted={src_tok.exhausted}), "
         f"target vocab {tgt_tok.size} (exhausted={tgt_tok.exhausted})"
@@ -332,118 +317,75 @@ def _cmd_tokenize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def _training_inputs(args: argparse.Namespace, cfg: RunConfig):
+    """(model config, train config, train pairs, val pairs, source and target
+    tokenizers): what `train` and `random_search` take, in their order."""
     src_tok, tgt_tok = _load_tokenizers(args)
-    _, train_pairs = _read_pairs(args.train)
-    _, val_pairs = _read_pairs(args.val)
+    train_pairs, val_pairs = _read_pairs(args.train), _read_pairs(args.val)
     model_cfg = _build(
         ModelConfig, cfg, "model", src_vocab_size=src_tok.size, tgt_vocab_size=tgt_tok.size
     )
-    train_cfg = _build(TrainConfig, cfg, "train")
-    model = init_model(model_cfg, seed=cfg.get("model.seed"))
-    result = train(model, train_pairs, val_pairs, src_tok, tgt_tok, train_cfg)
+    return model_cfg, _build(TrainConfig, cfg, "train"), train_pairs, val_pairs, src_tok, tgt_tok
+
+
+def _cmd_train(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
+    model_cfg, train_cfg, *data = _training_inputs(args, cfg)
+    result = train(init_model(model_cfg, seed=cfg.get("model.seed")), *data, train_cfg)
     save_checkpoint(result.checkpoint, out / "checkpoint.bin")
     _write_text(out / "train.log", "\n".join(format_log(result.log)) + "\n")
-    _write_provenance(
-        out, cfg,
-        {"train": args.train, "val": args.val, "src_tok": args.src_tok, "tgt_tok": args.tgt_tok},
-    )
+    _write_provenance(out, cfg, args)
     best = f"{result.best_val_f:.4f}" if result.best_val_f is not None else "n/a"
     print(f"trained {train_cfg.max_steps} steps; best validation F {best} at step {result.best_step}")
     return 0
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
+def _cmd_search(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     for key in _SEARCH_SAMPLED:
         if cfg.get(key) != _KEYS[key][1]:
             raise ConfigError(f"{key} is drawn for each search trial and cannot be set (got {cfg.get(key)})")
-    out = _out_dir(args)
-    src_tok, tgt_tok = _load_tokenizers(args)
-    _, train_pairs = _read_pairs(args.train)
-    _, val_pairs = _read_pairs(args.val)
+    inputs = _training_inputs(args, cfg)
     space = SearchSpace(
         hidden_range=(cfg.get("search.hidden_min"), cfg.get("search.hidden_max")),
         dropout_range=(cfg.get("search.dropout_min"), cfg.get("search.dropout_max")),
         n_trials=cfg.get("search.n_trials"),
     )
-    results = random_search(
-        space,
-        _build(ModelConfig, cfg, "model", src_vocab_size=src_tok.size, tgt_vocab_size=tgt_tok.size),
-        _build(TrainConfig, cfg, "train"),
-        train_pairs,
-        val_pairs,
-        src_tok,
-        tgt_tok,
-        seed=cfg.get("search.seed"),
-    )
+    results = random_search(space, *inputs, seed=cfg.get("search.seed"))
     _write_text(out / "trials.tsv", format_trial_table(results) + "\n")
     save_checkpoint(results[0].checkpoint, out / "best-checkpoint.bin")
-    _write_provenance(
-        out, cfg,
-        {"train": args.train, "val": args.val, "src_tok": args.src_tok, "tgt_tok": args.tgt_tok},
-    )
+    _write_provenance(out, cfg, args)
     print(f"ran {len(results)} trials; best validation F {results[0].val_f:.4f}")
     return 0
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def _cmd_predict(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     src_tok, tgt_tok = _load_tokenizers(args)
     ckpt = load_checkpoint(args.checkpoint)
     check_tokenizers([ckpt], src_tok, tgt_tok)
     model = model_from_checkpoint(ckpt)
-    _, pairs = _read_pairs(args.corpus)
-    preds = predict_pairs(
-        model, src_tok, tgt_tok, pairs,
-        beam_width=cfg.get("decode.beam_width"),
-        alpha=cfg.get("decode.alpha"),
-    )
+    preds = predict_pairs(model, src_tok, tgt_tok, _read_pairs(args.corpus), **_decode_options(cfg))
     write_predictions(out / "predictions.tsv", preds)
-    _write_provenance(
-        out, cfg,
-        {
-            "checkpoint": args.checkpoint, "corpus": args.corpus,
-            "src_tok": args.src_tok, "tgt_tok": args.tgt_tok,
-        },
-    )
+    _write_provenance(out, cfg, args)
     print(f"decoded {len(preds)} records to {out / 'predictions.tsv'}")
     return 0
 
 
-def _cmd_ensemble_select(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def _cmd_ensemble_select(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     src_tok, tgt_tok = _load_tokenizers(args)
-    paths = [p for p in args.checkpoints.split(",") if p]
+    paths = _checkpoint_paths(args)
     if not paths:
         raise ValidationError("--checkpoints needs at least one path")
     ckpts = [load_checkpoint(p) for p in paths]
-    _, val_pairs = _read_pairs(args.val)
-    ens = greedy_select(
-        ckpts, src_tok, tgt_tok, val_pairs,
-        beam_width=cfg.get("decode.beam_width"),
-        alpha=cfg.get("decode.alpha"),
-    )
+    ens = greedy_select(ckpts, src_tok, tgt_tok, _read_pairs(args.val), **_decode_options(cfg))
     selected_paths = [paths[i] for i in ens.member_indices]
     selected_hashes = [file_sha256(p) for p in selected_paths]
     write_manifest(out / "ensemble.manifest", selected_paths, selected_hashes, ens)
-    _write_provenance(
-        out, cfg,
-        {"val": args.val, "src_tok": args.src_tok, "tgt_tok": args.tgt_tok,
-         **{f"member{i}": p for i, p in enumerate(paths)}},
-    )
+    _write_provenance(out, cfg, args)
     steps = ", ".join(f"{s.member_index}:{s.val_f:.4f}" for s in ens.log)
     print(f"selected {len(ens.member_indices)} members ({steps})")
     return 0
 
 
-def _cmd_ensemble_predict(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def _cmd_ensemble_predict(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     src_tok, tgt_tok = _load_tokenizers(args)
     paths, hashes, _ = read_manifest(args.manifest)
     for p, h in zip(paths, hashes):
@@ -455,26 +397,20 @@ def _cmd_ensemble_predict(args: argparse.Namespace) -> int:
         if actual != h:
             raise ValidationError(f"ensemble member {p!r} changed on disk (hash mismatch)")
     ckpts = [load_checkpoint(p) for p in paths]
-    _, pairs = _read_pairs(args.corpus)
     preds = ensemble_predict(
-        ckpts, src_tok, tgt_tok, pairs,
-        beam_width=cfg.get("decode.beam_width"),
-        alpha=cfg.get("decode.alpha"),
+        ckpts, src_tok, tgt_tok, _read_pairs(args.corpus), **_decode_options(cfg)
     )
     write_predictions(out / "predictions.tsv", preds)
-    _write_provenance(
-        out, cfg,
-        {"manifest": args.manifest, "corpus": args.corpus,
-         "src_tok": args.src_tok, "tgt_tok": args.tgt_tok},
-    )
+    _write_provenance(out, cfg, args)
     print(f"ensemble of {len(ckpts)} decoded {len(preds)} records")
     return 0
 
 
-def _aligned_pairs(
-    preds: list[Prediction], certs: list[Certificate]
-) -> tuple[list[tuple[tuple[str, ...], tuple[str, ...]]], list[Certificate], list[Prediction]]:
-    """Align predictions with gold certificates by record id, corpus order."""
+def _aligned(args: argparse.Namespace):
+    """--predictions aligned with the gold --corpus certificates by record id,
+    in corpus order: (predicted and true codes, certificates, predictions)."""
+    preds = read_predictions(args.predictions)
+    certs = read_corpus(args.corpus)
     by_id = {p.id: p for p in preds}
     if len(by_id) != len(preds):
         raise ValidationError("duplicate record ids in predictions")
@@ -484,13 +420,9 @@ def _aligned_pairs(
     extra = set(by_id) - {c.id for c in certs}
     if extra:
         raise ValidationError(f"{len(extra)} predictions lack corpus records (first: {sorted(extra)[0]!r})")
-    pairs = []
-    ordered_preds = []
-    for cert in certs:
-        pred = by_id[cert.id]
-        pairs.append((pred.codes, tuple(c.text for c in cert.all_codes())))
-        ordered_preds.append(pred)
-    return pairs, certs, ordered_preds
+    ordered = [by_id[c.id] for c in certs]
+    pairs = [(p.codes, tuple(c.text for c in cert.all_codes())) for p, cert in zip(ordered, certs)]
+    return pairs, certs, ordered
 
 
 def _chapter_safe(pairs):
@@ -509,27 +441,21 @@ def _chapter_safe(pairs):
     return safe, dropped
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    preds = read_predictions(args.predictions)
-    certs = read_corpus(args.corpus)
-    pairs, certs, _ = _aligned_pairs(preds, certs)
-
+def _cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
+    pairs, certs, _ = _aligned(args)
     overall = micro_metrics(pairs)
+    level = cfg.get("eval.bootstrap_level")
     ci = bootstrap_ci(
-        pairs,
-        b=cfg.get("eval.bootstrap_b"),
-        level=cfg.get("eval.bootstrap_level"),
-        seed=cfg.get("eval.bootstrap_seed"),
+        pairs, b=cfg.get("eval.bootstrap_b"), level=level, seed=cfg.get("eval.bootstrap_seed")
     )
-    overall = dataclasses.replace(overall, ci=ci)
+    overall = dataclasses.replace(overall, ci=ci, ci_level=level)
 
-    strata_reports = []
+    # `origin` and `contains_bang` both label the electronic records `electronic`.
+    strata = {}
     for stratum in ("origin", "contains_bang"):
-        strata_reports.extend(
-            r for r in stratified_report(pairs, certs, stratum) if r.stratum != "overall"
-        )
+        for r in stratified_report(pairs, certs, stratum):
+            if r.stratum != "overall":
+                strata.setdefault(r.stratum, r)
 
     safe_pairs, dropped = _chapter_safe(pairs)
     chapters = per_chapter(safe_pairs)
@@ -538,41 +464,33 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if dropped:
         report_text += f"\nmalformed predicted codes excluded from chapter attribution: {dropped}"
     _write_text(out / "report.txt", report_text + "\n")
-    kv = [report_to_kv(overall)] + [report_to_kv(r) for r in strata_reports]
+    kv = [report_to_kv(overall)] + [report_to_kv(r) for r in strata.values()]
     _write_text(out / "report.kv", "\n".join(kv) + "\n")
     _write_text(
-        out / "strata.txt", "\n\n".join(format_metric_report(r) for r in strata_reports) + "\n"
+        out / "strata.txt", "\n\n".join(format_metric_report(r) for r in strata.values()) + "\n"
     )
     _write_text(out / "chapters.txt", format_chapter_report(chapters) + "\n")
-    _write_provenance(out, cfg, {"predictions": args.predictions, "corpus": args.corpus})
+    _write_provenance(out, cfg, args)
     p = f"{overall.precision:.4f}" if overall.precision is not None else "-"
     r = f"{overall.recall:.4f}" if overall.recall is not None else "-"
     print(f"records={overall.n_records} precision={p} recall={r} f_measure={overall.f_measure:.4f}")
     return 0
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    preds = read_predictions(args.predictions)
-    certs = read_corpus(args.corpus)
-    pairs, _, ordered_preds = _aligned_pairs(preds, certs)
-    entries = [
-        (pred_codes, pred.score, truth)
-        for (pred_codes, truth), pred in zip(pairs, ordered_preds)
-    ]
-    curve = calibration_curve(entries)
+def _cmd_calibrate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
+    pairs, _, preds = _aligned(args)
+    curve = calibration_curve(
+        [(codes, pred.score, truth) for (codes, truth), pred in zip(pairs, preds)]
+    )
     _write_text(out / "calibration.tsv", format_calibration(curve) + "\n")
-    _write_provenance(out, cfg, {"predictions": args.predictions, "corpus": args.corpus})
+    _write_provenance(out, cfg, args)
     base = curve.rows[0].f_accepted
     print(f"calibration curve written; F at zero rejection {base:.4f}" if base is not None else
           "calibration curve written")
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def _cmd_report(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     run_dir = Path(args.dir)
     sections = []
     kv_path = run_dir / "report.kv"
@@ -605,70 +523,86 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Command(typing.NamedTuple):
+    handler: typing.Callable[[argparse.Namespace, RunConfig, Path], int]
+    summary: str
+    paths: tuple[str, ...]  # each is a required --flag and a provenance input role
+    flags: dict[str, tuple[str, ...]]  # flag -> the config keys it sets; flags beat --set
+
+
+_TRAINING = ("train", "val", "src_tok", "tgt_tok")
+
+_COMMANDS: dict[str, _Command] = {
+    "gen-data": _Command(
+        _cmd_gen_data, "generate a synthetic corpus", (),
+        {"--n": ("synth.n_records",), "--seed": ("synth.seed",)},
+    ),
+    "split": _Command(
+        _cmd_split, "per-year stratified train/val/test split", ("corpus",),
+        {
+            "--val-per-year": ("split.val_per_year",),
+            "--test-per-year": ("split.test_per_year",),
+            "--seed": ("split.seed",),
+        },
+    ),
+    "tokenize": _Command(
+        _cmd_tokenize, "learn source and target BPE tokenizers", ("corpus",),
+        {"--src-vocab": ("tokenize.src_vocab",), "--tgt-vocab": ("tokenize.tgt_vocab",)},
+    ),
+    "train": _Command(
+        _cmd_train, "train one model", _TRAINING,
+        {"--max-steps": ("train.max_steps",), "--seed": ("train.seed", "model.seed")},
+    ),
+    "search": _Command(
+        _cmd_search, "random hyperparameter search", _TRAINING,
+        {"--trials": ("search.n_trials",), "--seed": ("search.seed",)},
+    ),
+    "predict": _Command(
+        _cmd_predict, "beam-decode a corpus with one checkpoint",
+        ("checkpoint", "corpus", "src_tok", "tgt_tok"),
+        {"--beam-width": ("decode.beam_width",), "--alpha": ("decode.alpha",)},
+    ),
+    "ensemble-select": _Command(
+        _cmd_ensemble_select, "greedy consensus member selection",
+        ("checkpoints", "val", "src_tok", "tgt_tok"), {},
+    ),
+    "ensemble-predict": _Command(
+        _cmd_ensemble_predict, "consensus predictions from a manifest",
+        ("manifest", "corpus", "src_tok", "tgt_tok"), {},
+    ),
+    "evaluate": _Command(
+        _cmd_evaluate, "micro metrics, CIs, strata, chapters", ("predictions", "corpus"), {},
+    ),
+    "calibrate": _Command(
+        _cmd_calibrate, "score-threshold rejection curve", ("predictions", "corpus"), {},
+    ),
+    "report": _Command(_cmd_report, "summarize a run directory", ("dir",), {}),
+}
+_HELP = {
+    "--n": "number of certificates",
+    "--checkpoints": "comma-separated checkpoint paths",
+    "--dir": "directory holding evaluate/calibrate outputs",
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="medseq", description=__doc__)
     parser.add_argument("--version", action="version", version=f"medseq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def command(name: str, func, summary: str) -> _Parser:
-        p = sub.add_parser(name, help=summary)
-        _add_common(p)
-        p.set_defaults(func=func)
-        return p
-
-    command("gen-data", _cmd_gen_data, "generate a synthetic corpus")
-
-    p = command("split", _cmd_split, "per-year stratified train/val/test split")
-    p.add_argument("--corpus", required=True)
-
-    p = command("tokenize", _cmd_tokenize, "learn source and target BPE tokenizers")
-    p.add_argument("--corpus", required=True, help="training split")
-
-    p = command("train", _cmd_train, "train one model")
-    p.add_argument("--train", required=True)
-    p.add_argument("--val", required=True)
-    p.add_argument("--src-tok", required=True)
-    p.add_argument("--tgt-tok", required=True)
-
-    p = command("search", _cmd_search, "random hyperparameter search")
-    p.add_argument("--train", required=True)
-    p.add_argument("--val", required=True)
-    p.add_argument("--src-tok", required=True)
-    p.add_argument("--tgt-tok", required=True)
-
-    p = command("predict", _cmd_predict, "beam-decode a corpus with one checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--src-tok", required=True)
-    p.add_argument("--tgt-tok", required=True)
-
-    p = command("ensemble-select", _cmd_ensemble_select, "greedy consensus member selection")
-    p.add_argument("--checkpoints", required=True, help="comma-separated checkpoint paths")
-    p.add_argument("--val", required=True)
-    p.add_argument("--src-tok", required=True)
-    p.add_argument("--tgt-tok", required=True)
-
-    p = command("ensemble-predict", _cmd_ensemble_predict, "consensus predictions from a manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--src-tok", required=True)
-    p.add_argument("--tgt-tok", required=True)
-
-    p = command("evaluate", _cmd_evaluate, "micro metrics, CIs, strata, chapters")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--corpus", required=True)
-
-    p = command("calibrate", _cmd_calibrate, "score-threshold rejection curve")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--corpus", required=True)
-
-    p = command("report", _cmd_report, "summarize a run directory")
-    p.add_argument("--dir", required=True, help="directory holding evaluate/calibrate outputs")
-
-    for name, flags in _FLAGS.items():
-        for flag, keys in flags.items():
-            kind, _ = _KEYS[keys[0]]
-            sub.choices[name].add_argument(flag, type=kind, help=_FLAG_HELP.get(flag))
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.summary)
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument(
+            "--set", action="append", default=[], metavar="KEY=VALUE",
+            help="override one config key (repeatable)",
+        )
+        p.add_argument("--out-dir", default=".", help="directory for outputs and the config echo")
+        for path in command.paths:
+            flag = "--" + path.replace("_", "-")
+            p.add_argument(flag, required=True, help=_HELP.get(flag))
+        for flag, keys in command.flags.items():
+            p.add_argument(flag, type=_KEYS[keys[0]][0], help=_HELP.get(flag))
+        p.set_defaults(func=command.handler)
     return parser
 
 
@@ -676,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, _load_cfg(args), _out_dir(args))
     except (ValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

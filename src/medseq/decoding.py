@@ -26,6 +26,7 @@ candidates the beam keeps.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,6 +223,14 @@ def greedy_decode(
     return [r[0] for r in ranked]
 
 
+def pad_sources(sources: list[Sequence[int]]) -> np.ndarray:
+    """PAD-filled (records, longest source) matrix of source ids, at least one column wide."""
+    src = np.full((len(sources), max(1, max(map(len, sources)))), PAD_ID, dtype=np.int64)
+    for row, ids in enumerate(sources):
+        src[row, : len(ids)] = ids
+    return src
+
+
 def predict_pairs(
     model: TransformerModel,
     src_tok: TokenizerModel,
@@ -247,12 +256,9 @@ def predict_pairs(
     top: dict[int, Prediction] = {}
     for start in range(0, len(order), group_size):
         group = order[start : start + group_size]
-        src = np.full((len(group), max(1, len(encoded[group[-1]]))), PAD_ID, dtype=np.int64)
-        for row, i in enumerate(group):
-            src[row, : len(encoded[i])] = encoded[i]
         side = np.array([pairs[i].side.as_tuple() for i in group], dtype=np.int64)
         ranked = decode_batch(
-            model, tgt_tok, src, side,
+            model, tgt_tok, pad_sources([encoded[i] for i in group]), side,
             beam_width=beam_width, alpha=alpha, record_ids=[pairs[i].id for i in group],
         )
         for i, hyps in zip(group, ranked):

@@ -64,6 +64,7 @@ class MetricReport:
     n_records: int
     stratum: str = "overall"
     ci: dict[str, tuple[float, float]] | None = None
+    ci_level: float = 0.95  # the confidence level of `ci`
 
 
 def _report_from_counts(tp: int, fp: int, fn: int, n_records: int, stratum: str) -> MetricReport:
@@ -326,7 +327,7 @@ def format_metric_report(report: MetricReport) -> str:
         for name in ("precision", "recall", "f_measure"):
             if name in report.ci:
                 lo, hi = report.ci[name]
-                lines.append(f"{name} 95% CI: [{lo:.4f}, {hi:.4f}]")
+                lines.append(f"{name} {100 * report.ci_level:g}% CI: [{lo:.4f}, {hi:.4f}]")
     return "\n".join(lines)
 
 

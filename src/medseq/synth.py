@@ -441,6 +441,9 @@ def split_corpus(
     sampled without replacement; train keeps the remainder. Corpus order is
     preserved inside each part.
     """
+    for part, count in (("val", per_year_val), ("test", per_year_test)):
+        if count < 0:
+            raise ValidationError(f"per-year {part} count must be non-negative, got {count}")
     by_year: dict[int, list[int]] = {}
     for i, cert in enumerate(certs):
         by_year.setdefault(cert.side.year, []).append(i)

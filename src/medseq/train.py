@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import atomic_open
-from .decoding import DECODE_ROWS, greedy_decode
+from .decoding import DECODE_ROWS, greedy_decode, pad_sources
 from .errors import ConfigError, DivergenceError, ShapeError, ValidationError
 from .metrics import micro_metrics
 from .tensor import GeneratorDropout, Tape, Tensor
@@ -272,7 +272,8 @@ def validation_f(
     pairs = []
     for start in range(0, len(subset), chunk_size):
         chunk = subset[start : start + chunk_size]
-        src, side, _ = pad_batch(chunk)
+        src = pad_sources([p.src for p in chunk])
+        side = np.array([p.side for p in chunk], dtype=np.int64)
         preds = greedy_decode(model, tgt_tok, src, side, record_ids=[p.id for p in chunk])
         pairs.extend((pred.codes, p.gold) for pred, p in zip(preds, chunk))
     return micro_metrics(pairs).f_measure

@@ -26,7 +26,7 @@ def pipeline(tmp_path_factory):
     """Run every subcommand once over a tiny corpus; return the directories."""
     root = tmp_path_factory.mktemp("cli-pipeline")
     d = {name: root / name for name in (
-        "gen", "split", "tok", "tok2", "run", "run2", "pred", "eval",
+        "gen", "split", "tok", "run", "run2", "pred", "eval",
         "ens", "epred", "summary",
     )}
 
@@ -129,12 +129,33 @@ class TestPipelineArtifacts:
         assert "synth.n_records=120" in text
         assert "synth.seed=0" in text
 
-    def test_provenance_tracks_input_hashes(self, pipeline):
-        text = (pipeline["run"] / "effective-config.txt").read_text()
-        inputs = [l for l in text.splitlines() if l.startswith("# input ")]
-        roles = sorted(l.split()[2].split("=")[0] for l in inputs)
-        assert roles == ["src_tok", "tgt_tok", "train", "val"]
-        assert all("sha256=" in l for l in inputs)
+    @pytest.mark.parametrize("key,roles", [
+        ("gen", []),
+        ("split", ["corpus"]),
+        ("tok", ["corpus"]),
+        ("run", ["src_tok", "tgt_tok", "train", "val"]),
+        ("run2", ["src_tok", "tgt_tok", "train", "val"]),
+        ("pred", ["checkpoint", "corpus", "src_tok", "tgt_tok"]),
+        ("eval", ["corpus", "predictions"]),  # calibrate wrote it last
+        ("ens", ["member0", "member1", "src_tok", "tgt_tok", "val"]),
+        ("epred", ["corpus", "manifest", "src_tok", "tgt_tok"]),
+        ("summary", None),  # report writes no config echo
+    ])
+    def test_provenance_tracks_input_hashes(self, pipeline, key, roles):
+        from medseq.config import file_sha256
+
+        path = pipeline[key] / "effective-config.txt"
+        if roles is None:
+            assert not path.exists()
+            return
+        found = []
+        for line in path.read_text().splitlines():
+            if line.startswith("# input "):
+                role_path, digest = line.removeprefix("# input ").rsplit(" sha256=", 1)
+                role, _, input_path = role_path.partition("=")
+                assert digest == file_sha256(input_path), line
+                found.append(role)
+        assert found == roles
 
     def test_train_log_structure(self, pipeline):
         lines = (pipeline["run"] / "train.log").read_text().splitlines()
@@ -162,6 +183,31 @@ class TestPipelineArtifacts:
         assert int(kv["overall.records"]) == len(read_corpus(pipeline["test_tsv"]))
         assert "overall.f_measure.ci_lower" in kv
         assert float(kv["overall.f_measure.ci_lower"]) <= f <= float(kv["overall.f_measure.ci_upper"])
+
+    def test_report_kv_keys_are_unique(self, pipeline):
+        keys = [
+            line.split("=", 1)[0]
+            for line in (pipeline["eval"] / "report.kv").read_text().splitlines()
+        ]
+        assert len(keys) == len(set(keys))
+        strata = [
+            line for line in (pipeline["eval"] / "strata.txt").read_text().splitlines()
+            if line.startswith("stratum: ")
+        ]
+        assert len(strata) == len(set(strata))
+
+    def test_ci_label_follows_level(self, pipeline, tmp_path):
+        assert main([
+            "evaluate", "--predictions", str(pipeline["pred"] / "predictions.tsv"),
+            "--corpus", pipeline["test_tsv"], "--out-dir", str(tmp_path),
+            "--set", "eval.bootstrap_b=20", "--set", "eval.bootstrap_level=0.5",
+        ]) == 0
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        labels = [line.split(":")[0] for line in lines if "CI:" in line]
+        assert "f_measure 50% CI" in labels  # precision has none when nothing was predicted
+        assert all(label.endswith(" 50% CI") for label in labels), labels
+        default = (pipeline["eval"] / "report.txt").read_text()
+        assert "f_measure 95% CI: [" in default
 
     def test_strata_file_has_origin_and_bang_groups(self, pipeline):
         text = (pipeline["eval"] / "strata.txt").read_text()
@@ -491,6 +537,19 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ") and f"got {value}" in err[0], err
         assert not (tmp_path / "report.kv").exists()
 
+    @pytest.mark.parametrize("val,test", [("-1", "10"), ("-3", "1")])
+    def test_negative_split_count_exits_two(self, pipeline, tmp_path, capsys, val, test):
+        """One error line naming the count, and no split written."""
+        capsys.readouterr()
+        code = main([
+            "split", "--corpus", pipeline["corpus"], "--out-dir", str(tmp_path),
+            "--set", f"split.val_per_year={val}", "--set", f"split.test_per_year={test}",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f"got {val}" in err[0], err
+        assert not (tmp_path / "train.tsv").exists()
+
     def test_empty_report_dir_exits_two(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path), "--out-dir", str(tmp_path)]) == 2
 
@@ -516,6 +575,21 @@ FLAG_KEYS = {
 }
 _COMMON = {"-h", "--help", "--config", "--set", "--out-dir"}
 
+# subcommand -> its required input path flags
+REQUIRED_FLAGS = {
+    "gen-data": (),
+    "split": ("--corpus",),
+    "tokenize": ("--corpus",),
+    "train": ("--train", "--val", "--src-tok", "--tgt-tok"),
+    "search": ("--train", "--val", "--src-tok", "--tgt-tok"),
+    "predict": ("--checkpoint", "--corpus", "--src-tok", "--tgt-tok"),
+    "ensemble-select": ("--checkpoints", "--val", "--src-tok", "--tgt-tok"),
+    "ensemble-predict": ("--manifest", "--corpus", "--src-tok", "--tgt-tok"),
+    "evaluate": ("--predictions", "--corpus"),
+    "calibrate": ("--predictions", "--corpus"),
+    "report": ("--dir",),
+}
+
 
 def _subparsers():
     parser = cli.build_parser()
@@ -532,6 +606,30 @@ def test_flag_table_lists_every_flag():
         if found:
             flags[name] = found
     assert flags == {name: set(table) for name, table in FLAG_KEYS.items()}
+
+
+def test_required_flags_are_the_input_paths():
+    required = {
+        name: tuple(opt for a in sub._actions if a.required for opt in a.option_strings)
+        for name, sub in _subparsers().items()
+    }
+    assert required == REQUIRED_FLAGS
+
+
+@pytest.mark.parametrize(
+    "command,dropped", [(c, f) for c, flags in REQUIRED_FLAGS.items() for f in flags],
+    ids=lambda x: x,
+)
+def test_missing_required_flag_exits_one(command, dropped, tmp_path, capsys):
+    argv = [command, "--out-dir", str(tmp_path)]
+    for flag in REQUIRED_FLAGS[command]:
+        if flag != dropped:
+            argv += [flag, str(tmp_path / "unread")]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 1
+    assert dropped in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 class _Stop(Exception):

@@ -20,6 +20,7 @@ from medseq.decoding import (
     decode_batch,
     greedy_decode,
     length_penalty,
+    pad_sources,
     predict_pairs,
     prediction_score,
     read_predictions,
@@ -186,6 +187,12 @@ class TestBatchedDecoding:
             want = beam_search(model, tgt_tok, src, side, beam_width=beam_width, record_id=pair.id)[0]
             assert got.codes == want.codes, pair.id
             np.testing.assert_allclose(got.score, want.score, rtol=1e-9, err_msg=pair.id)
+
+    def test_pad_sources_fills_with_pad(self):
+        src = pad_sources([(5, 6), (7,), (8, 9, 10)])
+        assert src.dtype == np.int64
+        assert src.tolist() == [[5, 6, PAD_ID], [7, PAD_ID, PAD_ID], [8, 9, 10]]
+        assert pad_sources([(), ()]).tolist() == [[PAD_ID], [PAD_ID]]
 
     def test_word_final_mask_matches_tokenizer(self, toy_data):
         tgt_tok = toy_data[3]

@@ -150,6 +150,12 @@ class TestSplitCorpus:
             split_corpus(certs, per_year_val=40, per_year_test=40, seed=0)
         assert "year" in str(err.value).lower()
 
+    @pytest.mark.parametrize("val,test", [(-1, 10), (10, -1), (-3, 1)])
+    def test_negative_count_rejected(self, val, test):
+        certs = generate_corpus(GeneratorConfig(n_records=300, seed=13), build_default_lexicon(1))
+        with pytest.raises(ValidationError, match="non-negative"):
+            split_corpus(certs, per_year_val=val, per_year_test=test, seed=0)
+
 
 class TestGeneratorConfig:
     def test_probability_bounds(self):

@@ -508,6 +508,18 @@ class TestTrainLoop:
         assert result.log[-1].step == 15
         assert result.best_step == 5
 
+    def test_validation_does_not_pad_training_batches(self, toy_data, monkeypatch):
+        """pad_batch builds the training batches alone: validation decodes
+        its sources without padding targets."""
+        _, pairs, src_tok, tgt_tok = toy_data
+        cfg = ModelConfig(src_vocab_size=src_tok.size, tgt_vocab_size=tgt_tok.size, **TOY_MODEL_CFG)
+        calls = []
+        monkeypatch.setattr(train_module, "pad_batch", lambda batch: calls.append(1) or pad_batch(batch))
+        tcfg = TrainConfig(max_steps=6, batch_size=8, eval_every=2, val_limit=5)
+        result = train(init_model(cfg, seed=4), pairs, pairs, src_tok, tgt_tok, tcfg)
+        assert [e.step for e in result.log if e.val_f is not None] == [2, 4, 6]
+        assert len(calls) == tcfg.max_steps
+
     def test_checkpoint_holds_only_parameters(self, toy_model):
         model, result = toy_model
         names = _tensor_names(checkpoint_bytes(result.checkpoint))
