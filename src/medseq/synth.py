@@ -9,8 +9,12 @@ adjacency-dependent gold codes.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable, Sequence, TypeVar
 
 from .errors import ConfigError, ValidationError
 from .records import (
@@ -59,14 +63,17 @@ class Lexicon:
     noise_vocab: tuple[str, ...]
 
     def __post_init__(self):
-        if not all(e.phrases for e in self.entries):
-            raise ValidationError("lexicon entry without phrase variants")
-
-    def entry_by_stem(self, stem: str) -> LexiconEntry:
         for e in self.entries:
-            if e.stem == stem:
-                return e
-        raise KeyError(stem)
+            if not e.phrases:
+                raise ValidationError(f"lexicon entry {e.stem!r} without phrase variants")
+            if not all(e.stem in phrase.split(" ") for phrase in e.phrases):
+                raise ValidationError(f"lexicon entry {e.stem!r}: a phrase lacks the stem word")
+        weights = [e.weight for e in self.entries]
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValidationError("lexicon entry weights must be finite and nonnegative")
+        total = sum(weights)
+        if not (math.isfinite(total) and total > 0):
+            raise ValidationError(f"lexicon entry weights must have a finite positive sum, got {total}")
 
     def all_codes(self) -> set[Icd10Code]:
         codes: set[Icd10Code] = set()
@@ -114,8 +121,14 @@ class GeneratorConfig:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name}={p} outside [0,1]")
         dist = self.line_count_distribution
-        if len(dist) != N_LINES or any(p < 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-9:
-            raise ConfigError("line_count_distribution must be 6 nonnegative values summing to 1")
+        if (
+            len(dist) != N_LINES
+            or not all(math.isfinite(p) and p >= 0 for p in dist)
+            or abs(sum(dist) - 1.0) > 1e-9
+        ):
+            raise ConfigError(
+                "line_count_distribution must be 6 finite nonnegative values summing to 1"
+            )
         if self.n_records < 0:
             raise ConfigError("n_records must be nonnegative")
 
@@ -295,6 +308,63 @@ def build_default_lexicon(seed: int) -> Lexicon:
 
 _PHRASES_PER_LINE_WEIGHTS = (0.45, 0.35, 0.15, 0.05)  # 1..4 phrases
 
+_T = TypeVar("_T")
+
+
+def _weighted_draw(
+    population: Sequence[_T], weights: Sequence[float]
+) -> Callable[[random.Random], _T]:
+    """One draw of `rng.choices(population, weights)[0]`, done with the same
+    arithmetic over cumulative weights summed once, so it consumes the same
+    `rng.random()` value and returns the same item."""
+    population = tuple(population)
+    cum = list(accumulate(weights))
+    total = cum[-1] + 0.0
+    hi = len(population) - 1
+
+    def draw(rng: random.Random) -> _T:
+        return population[bisect_right(cum, rng.random() * total, 0, hi)]
+
+    return draw
+
+
+@dataclass(frozen=True)
+class _Drawable:
+    """A lexicon entry with each phrase split into words, and the position
+    of the stem word in it."""
+
+    entry: LexiconEntry
+    variants: tuple[tuple[tuple[str, ...], int], ...]
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """The draw tables every record of one corpus shares."""
+
+    n_lines: Callable[[random.Random], int]
+    phrases_per_line: Callable[[random.Random], int]
+    entry: Callable[[random.Random], _Drawable]
+    by_stem: dict[str, _Drawable]  # the first entry of each stem
+
+
+def _prepare(config: GeneratorConfig, lexicon: Lexicon) -> _Tables:
+    drawables = []
+    for e in lexicon.entries:
+        variants = []
+        for phrase in e.phrases:
+            words = tuple(phrase.split(" "))
+            variants.append((words, words.index(e.stem)))
+        drawables.append(_Drawable(e, tuple(variants)))
+    by_stem: dict[str, _Drawable] = {}
+    for d in drawables:
+        by_stem.setdefault(d.entry.stem, d)
+    return _Tables(
+        n_lines=_weighted_draw(range(1, N_LINES + 1), config.line_count_distribution),
+        phrases_per_line=_weighted_draw((1, 2, 3, 4), _PHRASES_PER_LINE_WEIGHTS),
+        entry=_weighted_draw(drawables, [e.weight for e in lexicon.entries]),
+        by_stem=by_stem,
+    )
+
 
 @dataclass
 class _Segment:
@@ -324,18 +394,16 @@ def _line_indices(rng: random.Random, count: int) -> list[int]:
 
 
 def _build_segment(
-    rng: random.Random, entry: LexiconEntry, noise_vocab: tuple[str, ...]
+    rng: random.Random, drawn: _Drawable, noise_vocab: tuple[str, ...]
 ) -> _Segment:
-    words = rng.choice(entry.phrases).split(" ")
-    stem_pos = words.index(entry.stem)
+    words, stem_pos = rng.choice(drawn.variants)
     if rng.random() < 0.15:
-        words.insert(0, rng.choice(noise_vocab))
-        stem_pos += 1
-    return _Segment(words=words, entry=entry, stem_pos=stem_pos)
+        return _Segment([rng.choice(noise_vocab), *words], drawn.entry, stem_pos + 1)
+    return _Segment(list(words), drawn.entry, stem_pos)
 
 
 def _generate_one(
-    index: int, config: GeneratorConfig, lexicon: Lexicon, weights: list[float]
+    index: int, config: GeneratorConfig, lexicon: Lexicon, tables: _Tables
 ) -> Certificate:
     rng = random.Random(f"{config.seed}:{index}")
 
@@ -345,19 +413,20 @@ def _generate_one(
     origin = 0 if rng.random() < config.p_paper_origin else 1
     side = encode_side_variables(age_days, gender, year, origin)
 
-    n_lines = rng.choices(range(1, N_LINES + 1), weights=config.line_count_distribution)[0]
+    n_lines = tables.n_lines(rng)
     indices = _line_indices(rng, n_lines)
 
     budget = MAX_CODES_PER_CERT
     line_segments: dict[int, list[_Segment]] = {}
     for line_no in indices:
-        want = rng.choices((1, 2, 3, 4), weights=_PHRASES_PER_LINE_WEIGHTS)[0]
+        want = tables.phrases_per_line(rng)
         want = min(want, budget)
         if want == 0:
             break
         segments: list[_Segment] = []
         while len(segments) < want:
-            entry = rng.choices(lexicon.entries, weights=weights)[0]
+            drawn = tables.entry(rng)
+            entry = drawn.entry
             if segments and segments[-1].entry is entry:
                 continue  # avoid immediate repeats; repeats across lines stay possible
             room = want - len(segments)
@@ -366,9 +435,9 @@ def _generate_one(
                 and room >= 2
                 and rng.random() < 0.5
             ):
-                trigger = lexicon.entry_by_stem(entry.adjacency_rule.trigger_stem)
+                trigger = tables.by_stem[entry.adjacency_rule.trigger_stem]
                 segments.append(_build_segment(rng, trigger, lexicon.noise_vocab))
-            segments.append(_build_segment(rng, entry, lexicon.noise_vocab))
+            segments.append(_build_segment(rng, drawn, lexicon.noise_vocab))
         segments = segments[:want]
         budget -= len(segments)
         line_segments[line_no] = segments
@@ -424,9 +493,14 @@ def _generate_one(
 
 
 def generate_corpus(config: GeneratorConfig, lexicon: Lexicon) -> list[Certificate]:
-    """Generate certificates; pure function of (config, lexicon)."""
-    weights = [e.weight for e in lexicon.entries]
-    return [_generate_one(i, config, lexicon, weights) for i in range(config.n_records)]
+    """Generate certificates; pure function of (config, lexicon).
+
+    Record i draws from its own `random.Random(f"{seed}:{i}")`.  The weighted
+    draws reproduce `Random.choices` exactly over tables built once per call,
+    so the corpus is the same as drawing with `choices` each time.
+    """
+    tables = _prepare(config, lexicon)
+    return [_generate_one(i, config, lexicon, tables) for i in range(config.n_records)]
 
 
 def split_corpus(

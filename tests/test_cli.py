@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import random
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from medseq import cli
 from medseq.cli import main
-from medseq.decoding import read_predictions, write_predictions
+from medseq.decoding import Prediction, read_predictions, write_predictions
 from medseq.metrics import format_chapter_report, micro_metrics, per_chapter
 from medseq.records import read_corpus
 
@@ -259,6 +260,88 @@ class TestPipelineArtifacts:
         assert len(paths) == len(ens.member_indices) >= 1
         for p, h in zip(paths, hashes):
             assert file_sha256(p) == h
+
+
+@pytest.fixture(scope="module")
+def scored(pipeline, tmp_path_factory):
+    """evaluate, calibrate and report over predictions made from the test
+    split's gold codes with seeded drops and substitutions, so that they hit
+    and miss; records kept exact score higher.  No model is trained."""
+    out = tmp_path_factory.mktemp("cli-scored")
+    rng = random.Random(0)
+    certs = read_corpus(pipeline["test_tsv"])
+    pool = sorted({c.text for cert in certs for c in cert.all_codes()})
+    preds = []
+    for cert in certs:
+        gold = [c.text for c in cert.all_codes()]
+        codes = []
+        for code in gold:
+            u = rng.random()
+            if u >= 0.2:  # below 0.2 the code is dropped
+                codes.append(rng.choice(pool) if u < 0.35 else code)
+        score = rng.uniform(0.6, 1.0) if codes == gold else rng.uniform(0.05, 0.5)
+        preds.append(Prediction(cert.id, tuple(codes), score))
+    predictions = str(out / "predictions.tsv")
+    write_predictions(predictions, preds)
+    evaluation = ["--predictions", predictions, "--corpus", pipeline["test_tsv"], "--out-dir", str(out)]
+    assert main(["evaluate", *evaluation, "--set", "eval.bootstrap_b=50"]) == 0
+    assert main(["calibrate", *evaluation]) == 0
+    assert main(["report", "--dir", str(out), "--out-dir", str(out)]) == 0
+    return out
+
+
+class TestReportsOnScoredPredictions:
+    def test_precision_ci_is_numeric(self, scored):
+        lines = (scored / "report.txt").read_text().splitlines()
+        (ci,) = [line for line in lines if line.startswith("precision 95% CI: [")]
+        lo, hi = (float(v) for v in ci.split("[", 1)[1].rstrip("]").split(","))
+        assert 0.0 <= lo <= hi <= 1.0
+
+    def test_some_chapter_has_true_positives(self, scored):
+        rows = (scored / "chapters.txt").read_text().splitlines()[1:]
+        fn_rates = [row.split()[2] for row in rows]
+        # fn_rate = fn / (tp + fn): a number below 100% means tp > 0
+        assert any(r != "-" and float(r.rstrip("%")) < 100.0 for r in fn_rates), rows
+
+    def test_calibration_f_varies_with_threshold(self, scored):
+        rows = (scored / "calibration.tsv").read_text().splitlines()[1:]
+        f_values = {row.split("\t")[2] for row in rows} - {""}
+        assert len(f_values) > 1
+
+    def test_summary_names_a_threshold(self, scored):
+        text = (scored / "summary.txt").read_text()
+        assert "best threshold <=30% rejection: score>" in text
+
+
+class TestSharedParser:
+    """main() parses every call with one parser built once per process."""
+
+    def test_set_values_do_not_carry_over(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MEDSEQ_SEED", raising=False)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main([
+            "gen-data", "--n", "5", "--seed", "4", "--set", "synth.p_misalign=0.5",
+            "--out-dir", str(a),
+        ]) == 0
+        assert main([
+            "gen-data", "--n", "5", "--set", "synth.p_bang_given_paper=0.5", "--out-dir", str(b),
+        ]) == 0
+        first = (a / "effective-config.txt").read_text().splitlines()
+        second = (b / "effective-config.txt").read_text().splitlines()
+        assert {"synth.seed=4", "synth.p_misalign=0.5", "synth.p_bang_given_paper=0.1"} <= set(first)
+        assert {"synth.seed=0", "synth.p_misalign=0.02", "synth.p_bang_given_paper=0.5"} <= set(second)
+
+    def test_usage_error_exits_one_and_help_exits_zero(self, tmp_path, capsys):
+        assert main(["gen-data", "--n", "3", "--out-dir", str(tmp_path / "a")]) == 0
+        with pytest.raises(SystemExit) as e:
+            main(["gen-data", "--n", "three"])
+        assert e.value.code == 1
+        for argv in (["--help"], ["evaluate", "--help"]):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 0
+        assert "--predictions" in capsys.readouterr().out
+        assert main(["gen-data", "--n", "3", "--out-dir", str(tmp_path / "b")]) == 0
 
 
 class TestReproducibility:

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import math
 
 import pytest
 
-from medseq.errors import ValidationError
-from medseq.records import MAX_CODES_PER_CERT, ORIGIN_PAPER, chapter_of
+from medseq.errors import ConfigError, ValidationError
+from medseq.records import MAX_CODES_PER_CERT, ORIGIN_PAPER, Icd10Code, chapter_of, write_corpus
 from medseq.synth import (
+    AdjacencyRule,
     GeneratorConfig,
+    Lexicon,
+    LexiconEntry,
     build_default_lexicon,
     generate_corpus,
     split_corpus,
@@ -43,8 +48,75 @@ class TestLexicon:
         lex = build_default_lexicon(0)
         assert any(e.adjacency_rule is not None for e in lex.entries)
 
+    @pytest.mark.parametrize(
+        "weights",
+        [(1.0, -0.5), (1.0, math.nan), (1.0, math.inf), (0.0, 0.0), (1e308, 1e308)],
+        ids=["negative", "nan", "inf", "zero-sum", "sum-overflows"],
+    )
+    def test_bad_weights_rejected(self, weights):
+        entries = tuple(
+            LexiconEntry(stem, (stem,), Icd10Code(code), weight=w)
+            for stem, code, w in zip(("alpha", "beta"), ("R99", "I10"), weights)
+        )
+        with pytest.raises(ValidationError, match="weights"):
+            Lexicon(entries=entries, noise_vocab=("de",))
+
+    def test_phrase_without_stem_rejected(self):
+        entry = LexiconEntry("alpha", ("alpha aigu", "beta aigu"), Icd10Code("R99"))
+        with pytest.raises(ValidationError, match="stem"):
+            Lexicon(entries=(entry,), noise_vocab=("de",))
+
+
+def _corpus_sha256(certs, tmp_path) -> str:
+    path = tmp_path / "corpus.tsv"
+    write_corpus(certs, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 class TestGenerateCorpus:
+    # Digests of corpora drawn with `Random.choices` on every weighted draw;
+    # the prepared draw tables must reproduce them byte for byte.
+    @pytest.mark.parametrize(
+        "config,lexicon_seed,digest",
+        [
+            (
+                GeneratorConfig(n_records=500, seed=0),
+                0,
+                "42bb956ff033463d0696f05a064a95365a42912609a3ff916c692486bd283ab3",
+            ),
+            (
+                GeneratorConfig(n_records=500, seed=7, p_misalign=0.5, p_bang_given_paper=0.5),
+                3,
+                "001a33b6d16a7c0ff275db68cc2690c0b63cef81f0742b17b35aace6986e490c",
+            ),
+        ],
+        ids=["default", "misaligned-banged"],
+    )
+    def test_pinned_corpus_bytes(self, config, lexicon_seed, digest, tmp_path):
+        certs = generate_corpus(config, build_default_lexicon(lexicon_seed))
+        assert _corpus_sha256(certs, tmp_path) == digest
+
+    def test_adjacency_trigger_is_first_entry_of_its_stem(self):
+        first = LexiconEntry("chuton", ("chuton",), Icd10Code("W19"), weight=0.0)
+        second = LexiconEntry("chuton", ("chuton tardif",), Icd10Code("W10"), weight=0.0)
+        lex = Lexicon(
+            entries=(
+                first,
+                second,
+                LexiconEntry(
+                    "fracturome", ("fracturome",), Icd10Code("M841"),
+                    adjacency_rule=AdjacencyRule("chuton", Icd10Code("S423")),
+                ),
+                LexiconEntry("malaisome", ("malaisome",), Icd10Code("R53")),
+            ),
+            noise_vocab=("de",),
+        )
+        certs = generate_corpus(GeneratorConfig(n_records=300, seed=2), lex)
+        codes = {c.text for cert in certs for c in cert.all_codes()}
+        assert {"W19", "S423"} <= codes
+        assert "W10" not in codes
+        assert not any("tardif" in (line or "") for cert in certs for line in cert.lines)
+
     def test_deterministic(self):
         lex = build_default_lexicon(1)
         cfg = GeneratorConfig(n_records=60, seed=9)
@@ -159,11 +231,14 @@ class TestSplitCorpus:
 
 class TestGeneratorConfig:
     def test_probability_bounds(self):
-        from medseq.errors import ConfigError
-
         with pytest.raises(ConfigError):
             GeneratorConfig(n_records=10, seed=0, p_paper_origin=1.2)
         with pytest.raises(ConfigError):
             GeneratorConfig(n_records=10, seed=0, p_misalign=-0.1)
         with pytest.raises(ConfigError):
             GeneratorConfig(n_records=-1, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_line_count_weight_rejected(self, bad):
+        with pytest.raises(ConfigError, match="line_count_distribution"):
+            GeneratorConfig(n_records=10, seed=0, line_count_distribution=(bad, 0, 0, 0, 0, 1.0))
