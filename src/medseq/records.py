@@ -224,18 +224,16 @@ def read_corpus(path) -> list[Certificate]:
         raise CorpusFormatError(f"{path}: line {header_no}: bad or missing header row")
     certs: list[Certificate] = []
     seen_ids: set[str] = set()
-    code_cells: dict[str, tuple[Icd10Code, ...]] = {}  # each distinct valid cell, parsed once per file
+    codes: dict[str, Icd10Code] = {}  # each distinct valid token, parsed once per file
     for line_no, row in rows[1:]:
         try:
-            certs.append(_parse_row(row.split("\t"), seen_ids, code_cells))
+            certs.append(_parse_row(row.split("\t"), seen_ids, codes))
         except (ValidationError, ConfigError) as exc:
             raise CorpusFormatError(f"{path}: line {line_no}: {exc}") from None
     return certs
 
 
-def _parse_row(
-    cells: list[str], seen_ids: set[str], code_cells: dict[str, tuple[Icd10Code, ...]]
-) -> Certificate:
+def _parse_row(cells: list[str], seen_ids: set[str], codes: dict[str, Icd10Code]) -> Certificate:
     if len(cells) != len(_HEADER):
         raise ValidationError(f"expected {len(_HEADER)} columns, got {len(cells)}")
     cert_id = cells[0]
@@ -247,20 +245,17 @@ def _parse_row(
     except ValueError as exc:
         raise ValidationError(f"side variables: {exc}") from None
     code_lines = []
-    for i, cell in enumerate(cells[5 + N_LINES:]):
-        codes = code_cells.get(cell)
-        if codes is None:
-            codes = ()
-            for tok in cell.split():
-                one = code_cells.get(tok)  # a one-code cell holds the token's parse
-                if one is None:
-                    try:
-                        one = code_cells[tok] = (Icd10Code(tok),)
-                    except ValidationError as exc:
-                        raise ValidationError(f"line{i + 1}_codes: {exc}") from None
-                codes += one
-            code_cells[cell] = codes
-        code_lines.append(codes)
+    for i in range(N_LINES):
+        line_codes = []
+        for tok in cells[5 + N_LINES + i].split():
+            code = codes.get(tok)
+            if code is None:
+                try:
+                    code = codes[tok] = Icd10Code(tok)
+                except ValidationError as exc:
+                    raise ValidationError(f"line{i + 1}_codes: {exc}") from None
+            line_codes.append(code)
+        code_lines.append(tuple(line_codes))
     return Certificate(
         id=cert_id,
         lines=tuple(cells[5 + i] or None for i in range(N_LINES)),

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence, TypeVar
 
 from .errors import ConfigError, ValidationError
 from .records import (
@@ -63,7 +61,13 @@ class Lexicon:
     noise_vocab: tuple[str, ...]
 
     def __post_init__(self):
+        stems = {e.stem for e in self.entries}
         for e in self.entries:
+            if e.adjacency_rule is not None and e.adjacency_rule.trigger_stem not in stems:
+                raise ValidationError(
+                    f"lexicon entry {e.stem!r}: adjacency trigger stem "
+                    f"{e.adjacency_rule.trigger_stem!r} names no entry"
+                )
             if not e.phrases:
                 raise ValidationError(f"lexicon entry {e.stem!r} without phrase variants")
             if not all(e.stem in phrase.split(" ") for phrase in e.phrases):
@@ -306,26 +310,9 @@ def build_default_lexicon(seed: int) -> Lexicon:
 # Corpus generation
 # ----------------------------------------------------------------------
 
-_PHRASES_PER_LINE_WEIGHTS = (0.45, 0.35, 0.15, 0.05)  # 1..4 phrases
-
-_T = TypeVar("_T")
-
-
-def _weighted_draw(
-    population: Sequence[_T], weights: Sequence[float]
-) -> Callable[[random.Random], _T]:
-    """One draw of `rng.choices(population, weights)[0]`, done with the same
-    arithmetic over cumulative weights summed once, so it consumes the same
-    `rng.random()` value and returns the same item."""
-    population = tuple(population)
-    cum = list(accumulate(weights))
-    total = cum[-1] + 0.0
-    hi = len(population) - 1
-
-    def draw(rng: random.Random) -> _T:
-        return population[bisect_right(cum, rng.random() * total, 0, hi)]
-
-    return draw
+_LINE_COUNTS = range(1, N_LINES + 1)
+_PHRASES_PER_LINE = (1, 2, 3, 4)
+_PHRASES_PER_LINE_CUM_WEIGHTS = tuple(accumulate((0.45, 0.35, 0.15, 0.05)))
 
 
 @dataclass(frozen=True)
@@ -341,9 +328,9 @@ class _Drawable:
 class _Tables:
     """The draw tables every record of one corpus shares."""
 
-    n_lines: Callable[[random.Random], int]
-    phrases_per_line: Callable[[random.Random], int]
-    entry: Callable[[random.Random], _Drawable]
+    line_count_cum_weights: tuple[float, ...]
+    entries: tuple[_Drawable, ...]
+    entry_cum_weights: tuple[float, ...]
     by_stem: dict[str, _Drawable]  # the first entry of each stem
 
 
@@ -359,9 +346,9 @@ def _prepare(config: GeneratorConfig, lexicon: Lexicon) -> _Tables:
     for d in drawables:
         by_stem.setdefault(d.entry.stem, d)
     return _Tables(
-        n_lines=_weighted_draw(range(1, N_LINES + 1), config.line_count_distribution),
-        phrases_per_line=_weighted_draw((1, 2, 3, 4), _PHRASES_PER_LINE_WEIGHTS),
-        entry=_weighted_draw(drawables, [e.weight for e in lexicon.entries]),
+        line_count_cum_weights=tuple(accumulate(config.line_count_distribution)),
+        entries=tuple(drawables),
+        entry_cum_weights=tuple(accumulate(e.weight for e in lexicon.entries)),
         by_stem=by_stem,
     )
 
@@ -413,19 +400,19 @@ def _generate_one(
     origin = 0 if rng.random() < config.p_paper_origin else 1
     side = encode_side_variables(age_days, gender, year, origin)
 
-    n_lines = tables.n_lines(rng)
+    n_lines = rng.choices(_LINE_COUNTS, cum_weights=tables.line_count_cum_weights)[0]
     indices = _line_indices(rng, n_lines)
 
     budget = MAX_CODES_PER_CERT
     line_segments: dict[int, list[_Segment]] = {}
     for line_no in indices:
-        want = tables.phrases_per_line(rng)
+        want = rng.choices(_PHRASES_PER_LINE, cum_weights=_PHRASES_PER_LINE_CUM_WEIGHTS)[0]
         want = min(want, budget)
         if want == 0:
             break
         segments: list[_Segment] = []
         while len(segments) < want:
-            drawn = tables.entry(rng)
+            drawn = rng.choices(tables.entries, cum_weights=tables.entry_cum_weights)[0]
             entry = drawn.entry
             if segments and segments[-1].entry is entry:
                 continue  # avoid immediate repeats; repeats across lines stay possible
@@ -496,8 +483,9 @@ def generate_corpus(config: GeneratorConfig, lexicon: Lexicon) -> list[Certifica
     """Generate certificates; pure function of (config, lexicon).
 
     Record i draws from its own `random.Random(f"{seed}:{i}")`.  The weighted
-    draws reproduce `Random.choices` exactly over tables built once per call,
-    so the corpus is the same as drawing with `choices` each time.
+    draws pass `Random.choices` cumulative weights built once per call; it
+    does the same arithmetic as with `weights=`, so the corpus is the same
+    as summing the weights at each draw.
     """
     tables = _prepare(config, lexicon)
     return [_generate_one(i, config, lexicon, tables) for i in range(config.n_records)]

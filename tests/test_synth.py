@@ -66,6 +66,17 @@ class TestLexicon:
         with pytest.raises(ValidationError, match="stem"):
             Lexicon(entries=(entry,), noise_vocab=("de",))
 
+    def test_adjacency_trigger_without_entry_rejected(self):
+        entries = (
+            LexiconEntry(
+                "fracturome", ("fracturome",), Icd10Code("M841"),
+                adjacency_rule=AdjacencyRule("chuton", Icd10Code("S423")),
+            ),
+            LexiconEntry("malaisome", ("malaisome",), Icd10Code("R53")),
+        )
+        with pytest.raises(ValidationError, match="'chuton' names no entry"):
+            Lexicon(entries=entries, noise_vocab=("de",))
+
 
 def _corpus_sha256(certs, tmp_path) -> str:
     path = tmp_path / "corpus.tsv"
