@@ -8,7 +8,9 @@ geometric-mean token probability, a length-insensitive value in (0,1].
 One engine, ``decode_batch``, does all decoding: the hypotheses of a group
 of records advance together as one batch through the KV-cached decoder
 step, and each step ranks every record's expansions with numpy.  Greedy
-decoding is beam width 1; ``beam_search`` is the engine on one record.
+decoding is beam width 1; ``beam_search`` runs the engine on one record,
+and ``decode_records``, the one driver that groups records for decoding,
+runs it on length-sorted, PAD-filled groups.
 
 A record leaves the batch once the rest of its search cannot change what
 it returns: it holds beam_width finished hypotheses, and every live row's
@@ -41,7 +43,7 @@ from .transformer import TransformerModel, decode_step, encode_source, init_deco
 MAX_CODES = 20
 DEFAULT_BEAM_WIDTH = 4
 DEFAULT_ALPHA = 0.6
-DECODE_ROWS = 256  # hypothesis rows (records x beam width) predict_pairs decodes as one batch
+DECODE_ROWS = 256  # hypothesis rows (records x beam width) decode_records decodes as one batch
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,8 @@ def decode_batch(
     what a run to completion returns (see the module docstring).
     Ties break toward the lexicographically smaller token sequence, so
     results are deterministic.  Returns up to beam_width predictions per
-    record; fewer only when the search space is exhausted.
+    record; fewer only when the search space is exhausted.  A record left
+    with none (non-finite scores, e.g. NaN weights) raises ValidationError.
     """
     if beam_width < 1:
         raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
@@ -181,6 +184,8 @@ def decode_batch(
 
     out = []
     for rid, hyps in zip(record_ids, finished):
+        if not hyps:
+            raise ValidationError(f"record {rid!r}: beam search returned no hypothesis")
         hyps.sort(key=lambda h: (-h[0], h[1]))
         ranked = []
         for _, hyp_ids, hyp_logps in hyps[:beam_width]:
@@ -214,21 +219,46 @@ def greedy_decode(
     src_ids: np.ndarray,
     side_idx: np.ndarray,
     record_ids: list[str] | None = None,
-    max_codes: int = MAX_CODES,
 ) -> list[Prediction]:
-    """Batched argmax decoding: decode_batch at beam width 1."""
-    ranked = decode_batch(
-        model, tokenizer, src_ids, side_idx, beam_width=1, record_ids=record_ids, max_codes=max_codes,
-    )
+    """Argmax decoding of a PAD-filled batch as given: decode_batch at beam width 1."""
+    ranked = decode_batch(model, tokenizer, src_ids, side_idx, beam_width=1, record_ids=record_ids)
     return [r[0] for r in ranked]
 
 
-def pad_sources(sources: list[Sequence[int]]) -> np.ndarray:
+def pad_sources(sources: Sequence[Sequence[int]]) -> np.ndarray:
     """PAD-filled (records, longest source) matrix of source ids, at least one column wide."""
     src = np.full((len(sources), max(1, max(map(len, sources)))), PAD_ID, dtype=np.int64)
     for row, ids in enumerate(sources):
         src[row, : len(ids)] = ids
     return src
+
+
+def decode_records(
+    model: TransformerModel,
+    tokenizer: TokenizerModel,
+    records: Sequence[tuple[str, Sequence[int], Sequence[int]]],
+    beam_width: int = DEFAULT_BEAM_WIDTH,
+    alpha: float = DEFAULT_ALPHA,
+    rows: int = DECODE_ROWS,
+) -> list[Prediction]:
+    """Top hypothesis for each (id, source ids, side indices) record, in input order.
+
+    Records are sorted by source length (ties keep input order) and decoded
+    in groups of min(rows, DECODE_ROWS) // beam_width records (at least
+    one), each group PAD-filled to its longest source.
+    """
+    order = sorted(range(len(records)), key=lambda i: len(records[i][1]))
+    group_size = max(1, min(rows, DECODE_ROWS) // max(1, beam_width))  # decode_batch rejects widths < 1
+    top: dict[int, Prediction] = {}
+    for start in range(0, len(order), group_size):
+        group = order[start : start + group_size]
+        ids, sources, sides = zip(*(records[i] for i in group))
+        ranked = decode_batch(
+            model, tokenizer, pad_sources(sources), np.array(sides, dtype=np.int64),
+            beam_width=beam_width, alpha=alpha, record_ids=list(ids),
+        )
+        top.update(zip(group, (hyps[0] for hyps in ranked)))
+    return [top[i] for i in range(len(records))]
 
 
 def predict_pairs(
@@ -239,33 +269,13 @@ def predict_pairs(
     beam_width: int = DEFAULT_BEAM_WIDTH,
     alpha: float = DEFAULT_ALPHA,
 ) -> list[Prediction]:
-    """Top beam hypothesis for each (source text, side variables) record.
-
-    Records are sorted by encoded source length (ties keep input order) and
-    decoded in groups of at most DECODE_ROWS hypothesis rows, that is
-    DECODE_ROWS // beam_width records (at least one), each group PAD-filled
-    to its longest source.  Predictions come back in input order.
-    """
-    cfg = model.config
-    encoded = [
-        encode_text(src_tok, p.source_text, max_len=cfg.max_src_len, record_id=p.id)
+    """Top beam hypothesis for each (source text, side variables) record, in input order."""
+    max_len = model.config.max_src_len
+    records = [
+        (p.id, encode_text(src_tok, p.source_text, max_len=max_len, record_id=p.id), p.side.as_tuple())
         for p in pairs
     ]
-    order = sorted(range(len(pairs)), key=lambda i: len(encoded[i]))
-    group_size = max(1, DECODE_ROWS // max(1, beam_width))  # decode_batch rejects widths < 1
-    top: dict[int, Prediction] = {}
-    for start in range(0, len(order), group_size):
-        group = order[start : start + group_size]
-        side = np.array([pairs[i].side.as_tuple() for i in group], dtype=np.int64)
-        ranked = decode_batch(
-            model, tgt_tok, pad_sources([encoded[i] for i in group]), side,
-            beam_width=beam_width, alpha=alpha, record_ids=[pairs[i].id for i in group],
-        )
-        for i, hyps in zip(group, ranked):
-            if not hyps:
-                raise ValidationError(f"record {pairs[i].id!r}: beam search returned no hypothesis")
-            top[i] = hyps[0]
-    return [top[i] for i in range(len(pairs))]
+    return decode_records(model, tgt_tok, records, beam_width, alpha)
 
 
 def write_predictions(path: str, predictions: list[Prediction]) -> None:

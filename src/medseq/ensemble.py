@@ -129,18 +129,12 @@ def greedy_select(
     alpha: float = DEFAULT_ALPHA,
 ) -> Ensemble:
     """Decode the validation set once per member, then select greedily."""
-    if not checkpoints:
-        raise ValidationError("no candidate checkpoints")
     if not val_pairs:
         raise ValidationError("empty validation set")
     digests = [checkpoint_sha256(c) for c in checkpoints]
     if len(set(digests)) != len(digests):
         raise ValidationError("candidate pool contains duplicate checkpoints")
-    check_tokenizers(checkpoints, src_tok, tgt_tok)
-    member_preds = []
-    for ckpt in checkpoints:
-        model = model_from_checkpoint(ckpt)
-        member_preds.append(predict_pairs(model, src_tok, tgt_tok, val_pairs, beam_width, alpha))
+    member_preds = _member_predictions(checkpoints, src_tok, tgt_tok, val_pairs, beam_width, alpha)
     golds = [tuple(c.text for c in p.target_codes) for p in val_pairs]
     return greedy_select_predictions(member_preds, golds)
 
@@ -154,14 +148,21 @@ def ensemble_predict(
     alpha: float = DEFAULT_ALPHA,
 ) -> list[Prediction]:
     """Consensus predictions of the given members on new records."""
+    return consensus_by_record(_member_predictions(checkpoints, src_tok, tgt_tok, pairs, beam_width, alpha))
+
+
+def _member_predictions(
+    checkpoints: Sequence[Checkpoint], src_tok: TokenizerModel, tgt_tok: TokenizerModel,
+    pairs: Sequence[TrainingPair], beam_width: int, alpha: float,
+) -> list[list[Prediction]]:
+    """Each member's top predictions on the pairs, after checking its tokenizers."""
     if not checkpoints:
         raise ValidationError("no member checkpoints")
     check_tokenizers(checkpoints, src_tok, tgt_tok)
-    member_preds = []
-    for ckpt in checkpoints:
-        model = model_from_checkpoint(ckpt)
-        member_preds.append(predict_pairs(model, src_tok, tgt_tok, pairs, beam_width, alpha))
-    return consensus_by_record(member_preds)
+    return [
+        predict_pairs(model_from_checkpoint(c), src_tok, tgt_tok, pairs, beam_width, alpha)
+        for c in checkpoints
+    ]
 
 
 def write_manifest(path: str, member_paths: Sequence[str], member_hashes: Sequence[str], ensemble: Ensemble) -> None:

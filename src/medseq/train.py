@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import atomic_open
-from .decoding import DECODE_ROWS, greedy_decode, pad_sources
+from .decoding import DECODE_ROWS, decode_records
 from .errors import ConfigError, DivergenceError, ShapeError, ValidationError
 from .metrics import micro_metrics
 from .tensor import GeneratorDropout, Tape, Tensor
@@ -255,28 +255,18 @@ def validation_f(
     model: TransformerModel,
     tgt_tok: TokenizerModel,
     enc_pairs: list[EncodedPair],
-    batch_size: int,
+    batch_size: int = DECODE_ROWS,
     limit: int | None = None,
 ) -> float:
-    """Micro F of greedy decoding against the gold code sequences.
-
-    The first ``limit`` records (all without one) are sorted by source
-    length, ties in input order, and decoded min(batch_size, DECODE_ROWS)
-    at a time; F does not depend on their order.
-    """
+    """Micro F of greedy decoding of the first ``limit`` records (all without
+    one) against their gold codes, decoded by decode_records at beam width 1
+    in groups of min(batch_size, DECODE_ROWS); F depends on neither grouping nor order."""
     subset = enc_pairs[:limit] if limit else enc_pairs
     if not subset:
         raise ValidationError("validation set is empty")
-    subset = sorted(subset, key=lambda p: len(p.src))
-    chunk_size = max(1, min(batch_size, DECODE_ROWS))
-    pairs = []
-    for start in range(0, len(subset), chunk_size):
-        chunk = subset[start : start + chunk_size]
-        src = pad_sources([p.src for p in chunk])
-        side = np.array([p.side for p in chunk], dtype=np.int64)
-        preds = greedy_decode(model, tgt_tok, src, side, record_ids=[p.id for p in chunk])
-        pairs.extend((pred.codes, p.gold) for pred, p in zip(preds, chunk))
-    return micro_metrics(pairs).f_measure
+    records = [(p.id, p.src, p.side) for p in subset]
+    preds = decode_records(model, tgt_tok, records, beam_width=1, rows=batch_size)
+    return micro_metrics([(pred.codes, p.gold) for pred, p in zip(preds, subset)]).f_measure
 
 
 # ----------------------------------------------------------------------
@@ -538,7 +528,7 @@ def train(
             step % config.eval_every == 0 or step == config.max_steps
         )
         if evaluate_now:
-            f = validation_f(model, tgt_tok, enc_val, batch_size, config.val_limit)
+            f = validation_f(model, tgt_tok, enc_val, limit=config.val_limit)
             log.append(LogEntry(step=step, loss=loss, lr=rate, val_f=f))
             if best_f is None or f > best_f:
                 best_f = f
@@ -681,7 +671,6 @@ def random_search(
             val_f = validation_f(
                 model_from_checkpoint(result.checkpoint), tgt_tok,
                 encode_pairs(val_pairs, src_tok, tgt_tok, cfg),
-                t_cfg.batch_size or derived_batch_size(cfg.hidden_size),
             )
         results.append(
             TrialResult(spec=spec, val_f=val_f, best_step=result.best_step, checkpoint=result.checkpoint)

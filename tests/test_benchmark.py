@@ -16,6 +16,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+MISSING_LAYERS = {
+    "model": {
+        "missing layer: decoding.beam_search (wrapped, never called)",
+        # Called only by the width-1 cross-check, which runs untraced.
+        "missing layer: decoding.greedy_decode (wrapped, never called)",
+        "missing layer: tensor.relu (not found in medseq)",
+        "missing layer: tensor.softmax (not found in medseq)",
+        "missing layer: transformer.decode_logits (not found in medseq)",
+    },
+    "pipeline": set(),
+}
+
 
 @pytest.mark.parametrize("workload", ["model", "pipeline"])
 def test_short_traced_run_completes(workload):
@@ -29,6 +41,7 @@ def test_short_traced_run_completes(workload):
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True
     assert summary["failed"] == 0
-    if workload == "pipeline":
-        # Every layer the pipeline trace expects is still wrapped and called.
-        assert "missing layer:" not in proc.stderr, proc.stderr[-4000:]
+    # Every layer the trace expects is wrapped and called, except these stale
+    # ones of the model workload; a refactor that strands another one fails.
+    missing = {line for line in proc.stderr.splitlines() if line.startswith("missing layer:")}
+    assert missing == MISSING_LAYERS[workload], proc.stderr[-4000:]

@@ -29,6 +29,7 @@ from medseq.decoding import (
 )
 from medseq.errors import ValidationError
 from medseq.synth import GeneratorConfig, build_default_lexicon, generate_corpus
+from medseq.tensor import Tensor
 from medseq.textprep import (
     BOS_ID,
     EOS_ID,
@@ -43,7 +44,7 @@ from medseq.textprep import (
     token_is_word_final,
 )
 from medseq.textprep import decode as decode_tokens
-from medseq.train import encode_pairs, load_checkpoint, model_from_checkpoint, pad_batch
+from medseq.train import encode_pairs, load_checkpoint, model_from_checkpoint, pad_batch, validation_f
 from medseq.transformer import ModelConfig, forward, init_model
 
 FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
@@ -143,6 +144,21 @@ class TestBeamBasics:
         preds = predict_pairs(model, src_tok, tgt_tok, subset, beam_width=2)
         assert [p.id for p in preds] == [pair.id for pair in subset]
 
+    def test_no_hypothesis_raises_validation_error(self, toy_data, toy_model):
+        """NaN weights leave every record without a hypothesis; each decoding
+        entry point names the record instead of failing on an empty list."""
+        _, all_pairs, src_tok, _ = toy_data
+        model, tgt_tok, enc, src, side, _ = _toy_setup(toy_data, toy_model)
+        nan_model = init_model(model.config, seed=0)
+        for name, p in nan_model.parameters.items():
+            nan_model.parameters[name] = Tensor(np.full_like(p.data, np.nan))
+        with pytest.raises(ValidationError, match="returned no hypothesis"):
+            predict_pairs(nan_model, src_tok, tgt_tok, all_pairs[:4], beam_width=4)
+        with pytest.raises(ValidationError, match="returned no hypothesis"):
+            validation_f(nan_model, tgt_tok, enc)
+        with pytest.raises(ValidationError, match=f"record {enc[0].id!r}"):
+            greedy_decode(nan_model, tgt_tok, src, side, record_ids=[p.id for p in enc])
+
 
 class TestBatchedDecoding:
     def test_padded_groups_match_single_records(self, toy_data, toy_model64, monkeypatch):
@@ -155,7 +171,8 @@ class TestBatchedDecoding:
 
     @staticmethod
     def _check_groups(toy_data, model, monkeypatch, rows, beam_width):
-        """predict_pairs under a DECODE_ROWS of rows against one record at a time."""
+        """predict_pairs under a DECODE_ROWS of rows against one record at a
+        time, and validation_f's groups under the same DECODE_ROWS."""
         _, all_pairs, src_tok, tgt_tok = toy_data
         # Longest source first, so that the length sort reorders every record
         # and the predictions must be put back in input order.
@@ -169,16 +186,23 @@ class TestBatchedDecoding:
 
         monkeypatch.setattr(decoding, "decode_batch", spy)
         preds = predict_pairs(model, src_tok, tgt_tok, pairs, beam_width=beam_width)
+        n_predict = len(groups)
+        val_batch = 5
+        enc = encode_pairs(pairs, src_tok, tgt_tok, model.config)
+        validation_f(model, tgt_tok, enc, batch_size=val_batch)
         monkeypatch.undo()
-        group_size = max(1, rows // beam_width)
-        assert len(groups) > 1
-        assert [len(g) for g in groups] == [
-            min(group_size, len(pairs) - start) for start in range(0, len(pairs), group_size)
-        ]
-        lengths = [n for g in groups for n in g]
-        assert lengths == sorted(lengths) and len(set(lengths)) > 3
-        if group_size > 1:
-            assert any(len(set(g)) > 1 for g in groups)  # some group pads its shorter records
+        for got, group_size in (
+            (groups[:n_predict], max(1, rows // beam_width)),
+            (groups[n_predict:], min(val_batch, rows)),
+        ):
+            assert len(got) > 1
+            assert [len(g) for g in got] == [
+                min(group_size, len(pairs) - start) for start in range(0, len(pairs), group_size)
+            ]
+            lengths = [n for g in got for n in g]
+            assert lengths == sorted(lengths) and len(set(lengths)) > 3
+            if group_size > 1:
+                assert any(len(set(g)) > 1 for g in got)  # some group pads its shorter records
 
         assert [p.id for p in preds] == [pair.id for pair in pairs]
         for pair, got in zip(pairs, preds):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from medseq.decoding import greedy_decode
+from medseq import decoding
 from medseq.errors import ConfigError, DivergenceError, ShapeError, ValidationError
 from medseq.tensor import Tensor
 from medseq import textprep
@@ -572,12 +572,13 @@ class TestValidationF:
         _, pairs, src_tok, tgt_tok = toy_data
         enc = encode_pairs(pairs, src_tok, tgt_tok, toy_model64.config)
         decoded = []
+        decode_batch = decoding.decode_batch
 
         def spy(model, tokenizer, src, side, record_ids=None, **kwargs):
             decoded.extend(record_ids)
-            return greedy_decode(model, tokenizer, src, side, record_ids=record_ids, **kwargs)
+            return decode_batch(model, tokenizer, src, side, record_ids=record_ids, **kwargs)
 
-        monkeypatch.setattr(train_module, "greedy_decode", spy)
+        monkeypatch.setattr(decoding, "decode_batch", spy)
         f_few = validation_f(toy_model64, tgt_tok, enc, batch_size=4, limit=10)
         assert sorted(decoded) == sorted(p.id for p in enc[:10])
         by_id = {p.id: p for p in enc}
